@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	schbench [-fig 5|6] [-reqs N] [-seed S] [-csv] [-shards N] \
+//	schbench [-fig 5|6] [-reqs N] [-seed S] [-csv] \
 //	         [-trace-out trace.json] [-metrics-out metrics.json] \
 //	         [-doctor-out doctor.json] [-occupancy] \
 //	         [-live-out live.ndjson] [-live-http 127.0.0.1:7077]
@@ -38,10 +38,8 @@ func main() {
 	reqs := flag.Int("reqs", 50, "requests per worker")
 	seed := flag.Uint64("seed", 1, "random seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	shards := flag.Int("shards", 0, "event-core shards (0 = serial clock, N = sharded engine with N lanes)")
 	of := obs.BindFlags()
 	flag.Parse()
-	bench.SetShards(*shards)
 
 	workers := []int{8, 16, 24, 32, 40, 48, 56, 64}
 

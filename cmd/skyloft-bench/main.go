@@ -28,13 +28,13 @@
 // checker fires.
 //
 // -oversub runs the oversubscription survival gate instead of the sweep:
-// each lease preset is replayed bit-identically across event-core shard
-// counts {0, 2, 4} with cross-app invariants audited at every transition,
+// each lease preset is replayed bit-identically with cross-app invariants
+// audited at every transition,
 // and the measured reclaim p99 is checked against the protocol's bound.
 //
 // Usage:
 //
-//	skyloft-bench [-quick] [-seed 1] [-shards N] [-report-out BENCH_skyloft.json] [-report-only]
+//	skyloft-bench [-quick] [-seed 1] [-report-out BENCH_skyloft.json] [-report-only]
 package main
 
 import (
@@ -146,8 +146,8 @@ func runChaos(plan string, seed uint64, traceOut string) {
 // runOversub executes the oversubscription gate (preset = a preset name,
 // or "all") and prints the per-preset report: lease state-machine counters,
 // reclaim latency against the protocol's bound, fault injections, and the
-// cross-app invariant verdicts. Each preset is replayed and twinned across
-// event-core shard counts {0, 2, 4}. Exits non-zero on any gate failure.
+// cross-app invariant verdicts. Each preset is replayed. Exits non-zero on
+// any gate failure.
 func runOversub(preset string, seed uint64) {
 	var names []string
 	if preset != "all" {
@@ -155,8 +155,8 @@ func runOversub(preset string, seed uint64) {
 	}
 	results, failures := bench.OversubGate(seed, 0, names)
 
-	fmt.Printf("oversubscription gate: seed %d, %v per run (replay + shard twins %v)\n\n",
-		seed, bench.OversubDuration, []int{0, 2, 4})
+	fmt.Printf("oversubscription gate: seed %d, %v per run (replayed)\n\n",
+		seed, bench.OversubDuration)
 	fmt.Printf("%-22s %7s %8s %6s %7s %7s %9s %9s %6s %5s\n",
 		"preset", "grants", "reclaims", "coop", "forced", "evict", "p99", "bound", "miss", "viol")
 	for _, r := range results {
@@ -180,7 +180,7 @@ func runOversub(preset string, seed uint64) {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("\noversubscription gate OK: %d presets, bit-identical shard twins, "+
+	fmt.Printf("\noversubscription gate OK: %d presets, bit-identical replay, "+
 		"forced revocation engaged, reclaim p99 inside bound\n", len(results))
 }
 
@@ -251,7 +251,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast smoke run")
 	seed := flag.Uint64("seed", 1, "random seed")
 	par := flag.Int("par", 0, "max parallel trials (0 = GOMAXPROCS, 1 = serial)")
-	shards := flag.Int("shards", 0, "event-core shards (0 = serial clock, N = sharded engine with N lanes)")
 	reportOut := flag.String("report-out", "", "write the machine-readable benchmark report as JSON (\"-\" for stdout)")
 	reportOnly := flag.Bool("report-only", false, "emit only the -report-out JSON, skip the printed tables")
 	chaos := flag.String("chaos", "", "run the chaos gate for a fault-plan preset (or \"all\") instead of the benchmark sweep")
@@ -260,7 +259,6 @@ func main() {
 	of := obs.BindFlags()
 	flag.Parse()
 	bench.SetSweepWorkers(*par)
-	bench.SetShards(*shards)
 
 	if *chaos != "" {
 		if *chaos != "all" && of.LiveActive() {

@@ -20,7 +20,7 @@
 //
 // Usage:
 //
-//	skyloft-trace [-n 40] [-dur 5ms] [-threads 8] [-shards N] \
+//	skyloft-trace [-n 40] [-dur 5ms] [-threads 8] \
 //	              [-trace-out trace.json] [-metrics-out metrics.json] \
 //	              [-doctor-out doctor.json] [-occupancy] \
 //	              [-live-out live.ndjson] [-live-window 1ms] \
@@ -50,14 +50,11 @@ func main() {
 	n := flag.Int("n", 40, "events to dump at the end")
 	dur := flag.Duration("dur", 5*time.Millisecond, "virtual run length")
 	threads := flag.Int("threads", 8, "churn threads")
-	shards := flag.Int("shards", 0, "event-core shards (0 = serial clock, N = sharded engine with N lanes)")
 	of := obs.BindFlags()
 	flag.Parse()
 
 	tr := trace.New(1 << 18)
-	hwCfg := hw.DefaultConfig()
-	hwCfg.Shards = *shards
-	machine := hw.NewMachine(hwCfg)
+	machine := hw.NewMachine(hw.DefaultConfig())
 	engine := core.New(core.Config{
 		Machine:   machine,
 		CPUs:      []int{0, 1},

@@ -29,10 +29,9 @@ const ChaosDuration = 4 * simtime.Millisecond
 
 // ChaosResult summarises one chaos run against its clean twin.
 type ChaosResult struct {
-	Plan   string `json:"plan"`
-	Seed   uint64 `json:"seed"`
-	Mode   string `json:"mode"`   // engine mode + preemption mechanism
-	Shards int    `json:"shards"` // event-core shards (0 = serial clock)
+	Plan string `json:"plan"`
+	Seed uint64 `json:"seed"`
+	Mode string `json:"mode"` // engine mode + preemption mechanism
 
 	TraceHash  uint64 `json:"trace_hash"`
 	Events     uint64 `json:"events"`
@@ -172,7 +171,6 @@ func chaosRun(cfgName string, plan *faults.Plan, seed uint64, dur simtime.Durati
 		Plan:       cfgName,
 		Seed:       seed,
 		Mode:       mode,
-		Shards:     Shards(),
 		TraceHash:  tr.Hash(),
 		Events:     tr.Total(),
 		Dispatched: m.Clock.Dispatched(),
@@ -287,10 +285,11 @@ func ChaosGate(seed uint64, dur simtime.Duration, names []string) ([]*ChaosResul
 			continue
 		}
 		results = append(results, r1)
-		if r1.TraceHash != r2.TraceHash || r1.Events != r2.Events {
+		if r1.TraceHash != r2.TraceHash || r1.Events != r2.Events || r1.Dispatched != r2.Dispatched {
 			failures = append(failures, fmt.Sprintf(
-				"%s: replay diverged: %016x/%d events vs %016x/%d",
-				name, r1.TraceHash, r1.Events, r2.TraceHash, r2.Events))
+				"%s: replay diverged: %016x/%d events/%d dispatched vs %016x/%d/%d",
+				name, r1.TraceHash, r1.Events, r1.Dispatched,
+				r2.TraceHash, r2.Events, r2.Dispatched))
 		}
 		if r1.Violations > 0 {
 			msg := fmt.Sprintf("%s: %d invariant violations", name, r1.Violations)
@@ -316,37 +315,6 @@ func ChaosGate(seed uint64, dur simtime.Duration, names []string) ([]*ChaosResul
 				name, r1.P999Ratio, exp.maxP999Ratio, r1.WakeP999Us, r1.CleanP999Us))
 		}
 
-		// Shard-replay twin: the same plan on the *other* event core — a
-		// 2-shard engine when the gate runs serial (the default), the
-		// serial clock when the gate itself runs 2-sharded. Trace hash,
-		// event total and dispatched count must be bit-identical, and the
-		// twin must hold the invariants too. (Checker *call* counts differ
-		// by design: the engine audits at barrier merge, not per event.)
-		twin := 2
-		if Shards() == twin {
-			twin = 0
-		}
-		prev := Shards()
-		SetShards(twin)
-		r3, err := RunChaos(name, seed, dur)
-		SetShards(prev)
-		if err != nil {
-			failures = append(failures, fmt.Sprintf("%s: %d-shard twin: %v", name, twin, err))
-			continue
-		}
-		if r1.TraceHash != r3.TraceHash || r1.Events != r3.Events || r1.Dispatched != r3.Dispatched {
-			failures = append(failures, fmt.Sprintf(
-				"%s: %d-shard twin diverged: %016x/%d events/%d dispatched vs %016x/%d/%d",
-				name, twin, r1.TraceHash, r1.Events, r1.Dispatched,
-				r3.TraceHash, r3.Events, r3.Dispatched))
-		}
-		if r3.Violations > 0 {
-			msg := fmt.Sprintf("%s: %d-shard twin: %d invariant violations", name, twin, r3.Violations)
-			if len(r3.ViolationMsgs) > 0 {
-				msg += ": " + r3.ViolationMsgs[0]
-			}
-			failures = append(failures, msg)
-		}
 	}
 	return results, failures
 }

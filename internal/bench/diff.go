@@ -48,12 +48,6 @@ func DefaultDiffConfig() DiffConfig {
 			// inside the bound) are enforced exactly by BuildReport's panics
 			// and `make oversub`, not by this drift band.
 			"lease.": {Rel: 0.6, Abs: 5},
-			// engine.* metrics come from the deterministic op-count cost
-			// model, so they only move when event-core code changes; a
-			// tighter band catches dispatch-path regressions (an extra scan
-			// or compare per event shifts events_per_sec well past 10%)
-			// while letting workload-driven event-count drift land.
-			"engine.": {Rel: 0.10, Abs: 0.5},
 			// live.* gauges the telemetry bus's own footprint. The hard
 			// ceiling (overhead_pct <= 5) is enforced in BuildReport; the
 			// drift band only flags a bus that suddenly schedules more

@@ -124,28 +124,15 @@ func BuildReport(seed uint64, quick bool) *BenchReport {
 		r.Metrics["fig7a."+string(sys)+".throughput_rps"] = p.Throughput
 	}
 
-	// Engine throughput probe: the 48-core Fig. 7a point on the serial
-	// clock vs the sharded engine. events_per_sec is fully deterministic —
-	// it divides the dispatched-event count by the event core's *modeled*
-	// bookkeeping time (scan/compare operation counts at fixed ns costs),
-	// not wall time — so the speedup is regression-gated like any metric.
-	serialProbe, shardedProbe, liveProbe, causalProbe := engineProbe(seed)
-	r.Metrics["engine.shards"] = float64(shardedProbe.shards)
-	r.Metrics["engine.events_per_sec"] = shardedProbe.eventsPerSec
-	r.Metrics["engine.events_per_sec_serial"] = serialProbe.eventsPerSec
-	r.Metrics["engine.speedup"] = shardedProbe.eventsPerSec / serialProbe.eventsPerSec
-	r.Metrics["engine.dispatched"] = float64(shardedProbe.dispatched)
-	// Engine self-profile sentinels (PR 7): how evenly dispatch work spreads
-	// across lanes and how deep the overflow backlog gets — the two numbers
-	// cluster mode will use to pick shard boundaries, pinned against drift.
-	r.Metrics["engine.lane_util_max_share"] = shardedProbe.laneMaxShare
-	r.Metrics["engine.lane_backlog_hw"] = shardedProbe.laneBacklogHW
+	// Observer probe: the 48-core Fig. 7a point bare, with the live bus
+	// attached, and with the causal tracer attached.
+	baseProbe, liveProbe, causalProbe := observerProbe(seed)
 	// Live-bus cost on the same probe: extra dispatched events (boundary
 	// ticks) as a percentage of the base run. The bus is attach-only, so
 	// this is its *entire* modeled footprint; the 5%% acceptance bound is
 	// enforced loudly here and regression-gated via benchdiff.
-	overheadPct := 100 * float64(liveProbe.dispatched-shardedProbe.dispatched) /
-		float64(shardedProbe.dispatched)
+	overheadPct := 100 * float64(liveProbe.dispatched-baseProbe.dispatched) /
+		float64(baseProbe.dispatched)
 	if overheadPct > 5 {
 		panic(fmt.Sprintf("bench: live bus overhead %.2f%% exceeds the 5%% bound", overheadPct))
 	}
@@ -156,8 +143,8 @@ func BuildReport(seed uint64, quick bool) *BenchReport {
 	// overhead must be exactly zero — any dispatched-event delta means the
 	// tracer perturbed the simulation, a correctness bug. The 0.5%% ceiling
 	// is a loud tripwire, not an allowance.
-	causalOverheadPct := 100 * float64(causalProbe.dispatched-shardedProbe.dispatched) /
-		float64(shardedProbe.dispatched)
+	causalOverheadPct := 100 * float64(causalProbe.dispatched-baseProbe.dispatched) /
+		float64(baseProbe.dispatched)
 	if causalOverheadPct > 0.5 {
 		panic(fmt.Sprintf("bench: causal tracer overhead %.2f%% exceeds the 0.5%% bound", causalOverheadPct))
 	}
@@ -230,38 +217,22 @@ func BuildReport(seed uint64, quick bool) *BenchReport {
 	return r
 }
 
-// engineProbeShards is the lane count the report's engine probe runs with
-// (the acceptance gate: a sharded engine must beat serial on the 48-core
-// Fig. 7 run).
-const engineProbeShards = 4
-
-// engineProbeResult is one event core's throughput measurement.
-type engineProbeResult struct {
-	shards          int
+// probeResult is one observer-probe run's measurement.
+type probeResult struct {
 	dispatched      uint64
-	eventsPerSec    float64
-	laneMaxShare    float64 // busiest lane's share of dispatched events
-	laneBacklogHW   float64 // deepest overflow backlog across lanes
 	liveWindows     float64 // snapshots published (bus-attached run only)
 	causalCoverage  float64 // completed/started journeys (causal run only)
 	causalExemplars float64 // retained exemplars (causal run only)
 }
 
-// engineProbe runs the 48-core Fig. 7a quick load point four times —
-// serial clock, sharded engine, the sharded engine with the live telemetry
-// bus attached, and the sharded engine with the causal request tracer
-// attached — and reports each core's modeled event throughput plus the
-// sharded run's lane self-profile. The serial and sharded runs must
-// dispatch identical event counts: they are the same simulation by the
-// engine's determinism contract, and a mismatch is a correctness bug worth
-// dying loudly over. The bus-attached run dispatches strictly more (its
-// boundary ticks); the delta is the bus's overhead. The causal run must
-// dispatch exactly the base count — the tracer schedules nothing.
-func engineProbe(seed uint64) (serial, sharded, shardedLive, shardedCausal engineProbeResult) {
-	run := func(shards int, withBus, withCausal bool) engineProbeResult {
-		cfg := hw.DefaultConfig() // all 48 cores
-		cfg.Shards = shards
-		m := hw.NewMachine(cfg)
+// observerProbe runs the 48-core Fig. 7a quick load point three times —
+// bare, with the live telemetry bus attached, and with the causal request
+// tracer attached. The bus-attached run dispatches strictly more events
+// (its boundary ticks); the delta is the bus's overhead. The causal run
+// must dispatch exactly the base count — the tracer schedules nothing.
+func observerProbe(seed uint64) (base, withLive, withCausal probeResult) {
+	run := func(withBus, withTracer bool) probeResult {
+		m := hw.NewMachine(hw.DefaultConfig()) // all 48 cores
 		var bus *live.Bus
 		var tr *trace.Ring
 		var ctr *causal.Tracer
@@ -269,7 +240,7 @@ func engineProbe(seed uint64) (serial, sharded, shardedLive, shardedCausal engin
 			tr = trace.New(1 << 16)
 			bus = live.Attach(live.Config{}, live.Source{Clock: m.Clock, Ring: tr})
 		}
-		if withCausal {
+		if withTracer {
 			if tr == nil {
 				tr = trace.New(1 << 16)
 			}
@@ -281,15 +252,9 @@ func engineProbe(seed uint64) (serial, sharded, shardedLive, shardedCausal engin
 			Duration: 30 * simtime.Millisecond, Warmup: 30 * simtime.Millisecond,
 			Seed: seed, machine: m, tr: tr, ct: ctr,
 		})
-		dispatched := m.Clock.Dispatched()
-		overhead := m.Clock.OverheadNs()
-		if overhead == 0 {
-			panic("bench: engine probe ran no events")
-		}
-		res := engineProbeResult{
-			shards:       m.Lanes(),
-			dispatched:   dispatched,
-			eventsPerSec: float64(dispatched) / float64(overhead) * 1e9,
+		res := probeResult{dispatched: m.Clock.Dispatched()}
+		if res.dispatched == 0 {
+			panic("bench: observer probe ran no events")
 		}
 		if bus != nil {
 			bus.Close()
@@ -299,27 +264,9 @@ func engineProbe(seed uint64) (serial, sharded, shardedLive, shardedCausal engin
 			res.causalCoverage = ctr.Coverage()
 			res.causalExemplars = float64(len(ctr.Exemplars()))
 		}
-		if eng, ok := m.Clock.(*simtime.Engine); ok {
-			for _, l := range eng.LaneStats() {
-				if share := float64(l.Dispatched) / float64(dispatched); share > res.laneMaxShare {
-					res.laneMaxShare = share
-				}
-				if bhw := float64(l.BacklogHW); bhw > res.laneBacklogHW {
-					res.laneBacklogHW = bhw
-				}
-			}
-		}
 		return res
 	}
-	serial = run(0, false, false)
-	sharded = run(engineProbeShards, false, false)
-	if serial.dispatched != sharded.dispatched {
-		panic(fmt.Sprintf("bench: engine probe dispatch divergence: serial %d, %d-shard %d",
-			serial.dispatched, engineProbeShards, sharded.dispatched))
-	}
-	shardedLive = run(engineProbeShards, true, false)
-	shardedCausal = run(engineProbeShards, false, true)
-	return serial, sharded, shardedLive, shardedCausal
+	return run(false, false), run(true, false), run(false, true)
 }
 
 // WriteJSON writes the report as indented JSON; output is byte-stable for

@@ -43,6 +43,30 @@ func TestBenchReportSelfDiffEmpty(t *testing.T) {
 	}
 }
 
+// TestObserverProbe checks the report's observer probe: the bus-attached
+// run dispatches its boundary ticks on top of the bare run (within the 5%
+// ceiling BuildReport enforces) and publishes windows; the causal run
+// dispatches exactly the bare count — the tracer schedules nothing — and
+// completes nearly every journey.
+func TestObserverProbe(t *testing.T) {
+	m := quickReport(t).Metrics
+	if pct := m["live.overhead_pct"]; pct <= 0 || pct > 5 {
+		t.Errorf("live.overhead_pct = %v, want in (0, 5]", pct)
+	}
+	if m["live.windows"] == 0 {
+		t.Error("bus-attached probe published no windows")
+	}
+	if pct := m["causal.overhead_pct"]; pct != 0 {
+		t.Errorf("causal.overhead_pct = %v, want exactly 0", pct)
+	}
+	if cov := m["causal.exemplar_coverage"]; cov < 0.9 {
+		t.Errorf("causal.exemplar_coverage = %.3f, want >= 0.9", cov)
+	}
+	if m["causal.exemplars"] == 0 {
+		t.Error("causal probe retained no exemplars")
+	}
+}
+
 // Two builds at the same seed must serialise to byte-identical JSON — the
 // property the committed BENCH_skyloft.json and its gate rest on.
 func TestBenchReportDeterministic(t *testing.T) {

@@ -7,14 +7,12 @@ import (
 	"skyloft/internal/baseline/linuxsim"
 	"skyloft/internal/core"
 	"skyloft/internal/cycles"
-	"skyloft/internal/hw"
 	"skyloft/internal/policy/cfs"
 	"skyloft/internal/policy/eevdf"
 	"skyloft/internal/policy/fifo"
 	"skyloft/internal/policy/rr"
 	"skyloft/internal/simtime"
 	"skyloft/internal/stats"
-	"skyloft/internal/trace"
 )
 
 // Fig. 5 and Fig. 6 (§5.1): schbench wakeup latency across schedulers and
@@ -61,25 +59,14 @@ func skyloftPolicy(s SkyloftSched, slice simtime.Duration) core.Policy {
 // SchbenchSkyloft runs schbench on a Skyloft per-CPU policy with the
 // 100 kHz delegated user timer.
 func SchbenchSkyloft(s SkyloftSched, slice simtime.Duration, workers, reqPerWorker int, seed uint64) SchbenchResult {
-	return schbenchSkyloft(s, slice, workers, reqPerWorker, seed, nil, nil)
-}
-
-// schbenchSkyloft is SchbenchSkyloft with a machine override and a trace
-// ring — the engine differential harness runs the same Fig. 5 config on
-// serial and sharded event cores and compares the recorded schedules.
-func schbenchSkyloft(s SkyloftSched, slice simtime.Duration, workers, reqPerWorker int, seed uint64, m *hw.Machine, tr *trace.Ring) SchbenchResult {
-	if m == nil {
-		m = newMachine()
-	}
 	e := core.New(core.Config{
-		Machine:   m,
+		Machine:   newMachine(),
 		CPUs:      cpuList(Fig5Cores),
 		Mode:      core.PerCPU,
 		Policy:    skyloftPolicy(s, slice),
 		Costs:     core.SkyloftCosts(cycles.Default()),
 		TimerMode: core.TimerLAPIC,
 		TimerHz:   SkyloftTimerHz,
-		Trace:     tr,
 		Seed:      seed,
 	})
 	defer e.Shutdown()

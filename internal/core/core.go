@@ -324,9 +324,9 @@ func (q *qcCont) run() {
 }
 
 // coreCtx is one isolated core's scheduler state.
-// coreCtx is one simulated CPU's scheduler state — coordinator-owned sim
-// state, mutated only inside serially-dispatched callbacks (timer IRQs,
-// run completions, wake IPIs) rooted at the engine's entry points.
+// coreCtx is one simulated CPU's scheduler state — owned sim state,
+// mutated only inside event callbacks (timer IRQs, run completions, wake
+// IPIs) rooted at the engine's entry points.
 //
 //simlint:owner sim
 type coreCtx struct {
@@ -393,8 +393,6 @@ func (c *coreCtx) setCurr(t *sched.Thread) {
 
 // New builds an engine. Call NewApp then App.Start to add applications,
 // then Run to simulate.
-//
-//simlint:phase init
 func New(cfg Config) *Engine {
 	if cfg.Machine == nil || len(cfg.CPUs) == 0 {
 		panic("core: need a machine and at least one isolated CPU")
@@ -560,8 +558,6 @@ func (e *Engine) UINTRDeliveredAt(cpu int) simtime.Time {
 // NewApp registers an application. The first app binds active kernel
 // threads on every isolated core (the daemon path); later apps park theirs
 // (§4.1), in line with the Single Binding Rule.
-//
-//simlint:phase init
 func (e *Engine) NewApp(name string) *App {
 	a := &App{ID: len(e.apps), Name: name, e: e, meta: e.seg.RegisterApp(name)}
 	for _, c := range e.cores {
@@ -580,8 +576,6 @@ func (e *Engine) NewApp(name string) *App {
 }
 
 // Start creates a root thread for the app and submits it.
-//
-//simlint:phase dispatch
 func (a *App) Start(name string, body sched.Func) *sched.Thread {
 	t := a.e.newThread(a, name, body)
 	t.State = sched.Runnable
@@ -595,8 +589,6 @@ func (a *App) Start(name string, body sched.Func) *sched.Thread {
 // like a Start thread issuing those requests, but the engine interprets the
 // fixed body directly, so no goroutine or channel pair backs the thread.
 // onDone runs at the virtual instant the request completes.
-//
-//simlint:phase dispatch
 func (a *App) StartQuick(name string, service simtime.Duration, onDone func(now simtime.Time)) *sched.Thread {
 	e := a.e
 	u := e.getUthread(name, a.ID)
@@ -681,21 +673,15 @@ func (e *Engine) newThread(a *App, name string, body sched.Func) *sched.Thread {
 }
 
 // Run drives the simulation to the horizon.
-//
-//simlint:phase dispatch
 func (e *Engine) Run(horizon simtime.Time) { e.m.Clock.Run(horizon) }
 
 // RunUntil drives until pred holds or the horizon passes.
-//
-//simlint:phase dispatch
 func (e *Engine) RunUntil(horizon simtime.Time, pred func() bool) bool {
 	return e.m.Clock.RunUntil(horizon, pred)
 }
 
 // Shutdown stops timers and reaps every thread goroutine, including the
 // parked ones in the reuse pool.
-//
-//simlint:phase dispatch
 func (e *Engine) Shutdown() {
 	for _, u := range e.live {
 		// Under strict handoff every live thread is parked in a request at
@@ -903,8 +889,6 @@ func (e *Engine) wake(from *coreCtx, t *sched.Thread) {
 
 // ExternalWake wakes a thread from outside any thread context (packet
 // arrivals, timers) — the netsim.Waker interface.
-//
-//simlint:phase dispatch
 func (e *Engine) ExternalWake(t *sched.Thread) { e.wake(nil, t) }
 
 // ---- interrupt handling ----
@@ -1039,9 +1023,9 @@ func (e *Engine) startUtimer() {
 			s.hwc.Exec(s.send.SendCost(idxOf[i]), nil)
 			s.send.SendUIPI(idxOf[i])
 		}
-		e.m.Clock.AfterOn(s.hwc.Lane(), e.cfg.UtimerQuantum, fire)
+		e.m.Clock.After(e.cfg.UtimerQuantum, fire)
 	}
-	e.m.Clock.AfterOn(s.hwc.Lane(), e.cfg.UtimerQuantum, fire)
+	e.m.Clock.After(e.cfg.UtimerQuantum, fire)
 }
 
 // ---- thread request processing ----
@@ -1103,7 +1087,7 @@ func (e *Engine) resumeThread(c *coreCtx, t *sched.Thread, resp any) {
 			e.emit(trace.Sleep, c.idx, t, int64(r.D))
 			t.State = sched.Sleeping
 			u := ut(t)
-			u.sleepEv = e.m.Clock.AfterOn(c.hwc.Lane(), r.D, u.sleepFn)
+			u.sleepEv = e.m.Clock.After(r.D, u.sleepFn)
 			c.setCurr(nil)
 			e.scheduleNext(c)
 			return
@@ -1114,7 +1098,7 @@ func (e *Engine) resumeThread(c *coreCtx, t *sched.Thread, resp any) {
 			e.emit(trace.Sleep, c.idx, t, int64(r.D))
 			t.State = sched.Sleeping
 			u := ut(t)
-			u.sleepEv = e.m.Clock.AfterOn(c.hwc.Lane(), r.D, u.sleepFn)
+			u.sleepEv = e.m.Clock.After(r.D, u.sleepFn)
 			c.setCurr(nil)
 			e.scheduleNext(c)
 			return

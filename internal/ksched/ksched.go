@@ -699,7 +699,7 @@ func (c *cpu) parkFor(t *sched.Thread, d simtime.Duration) {
 	t.State = sched.Sleeping
 	c.noteDequeue(t)
 	kth := kt(t)
-	kth.sleepEv = c.k.m.Clock.AfterOn(c.hwc.Lane(), d, kth.sleepFn)
+	kth.sleepEv = c.k.m.Clock.After(d, kth.sleepFn)
 	c.setCurr(nil)
 	c.schedule()
 }

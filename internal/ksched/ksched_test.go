@@ -518,7 +518,7 @@ func TestLentCPULifecycle(t *testing.T) {
 	var vacated []int
 	k.SetVacateHook(func(kidx int) { vacated = append(vacated, kidx) })
 
-	m.Clock.AfterOn(0, simtime.Duration(1*simtime.Millisecond), func() { k.Online(lent) })
+	m.Clock.After(simtime.Duration(1*simtime.Millisecond), func() { k.Online(lent) })
 	k.Run(simtime.Time(3 * simtime.Millisecond))
 	if k.Offline(lent) {
 		t.Fatal("lent CPU still offline after Online")
@@ -546,10 +546,10 @@ func TestLentCPULifecycle(t *testing.T) {
 	var force func()
 	force = func() {
 		if !k.ForceOffline(lent) {
-			m.Clock.AfterOn(0, simtime.Microsecond, force)
+			m.Clock.After(simtime.Microsecond, force)
 		}
 	}
-	m.Clock.AfterOn(0, simtime.Duration(5*simtime.Millisecond)-simtime.Duration(m.Now()), force)
+	m.Clock.After(simtime.Duration(5*simtime.Millisecond)-simtime.Duration(m.Now()), force)
 	k.Run(simtime.Time(8 * simtime.Millisecond))
 	if !k.Offline(lent) {
 		t.Fatal("ForceOffline never landed")

@@ -127,9 +127,6 @@ type Client interface {
 	// It must eventually complete regardless of borrower behavior and end
 	// with the owner calling Returned(core).
 	ForceEvict(core int)
-	// Lane reports core's event lane so deadline/escalation events land
-	// deterministically on the sharded engine.
-	Lane(core int) int
 }
 
 // Lease is one core's lending record.
@@ -149,9 +146,9 @@ type Lease struct {
 	overdueReported bool
 }
 
-// Manager runs the lease state machine for one lender runtime. It is
-// coordinator-owned sim state: every method is called from serial engine
-// phases (the dispatcher, clock callbacks), never from lane workers.
+// Manager runs the lease state machine for one lender runtime. It is owned
+// sim state: every method is called from the dispatcher or from clock
+// callbacks.
 //
 //simlint:owner sim
 type Manager struct {
@@ -189,8 +186,6 @@ type Manager struct {
 
 // NewManager creates a manager scheduling deadline events on clock and
 // recording transitions into ring (nil: no trace).
-//
-//simlint:phase init
 func NewManager(cfg Config, clock simtime.EventCore, client Client, ring *trace.Ring) *Manager {
 	return &Manager{
 		cfg:         cfg.withDefaults(),
@@ -206,8 +201,6 @@ func NewManager(cfg Config, clock simtime.EventCore, client Client, ring *trace.
 func (m *Manager) Config() Config { return m.cfg }
 
 // SetBindingAudit installs the kmod ownership probe used by AuditLeases.
-//
-//simlint:phase init
 func (m *Manager) SetBindingAudit(fn func(core int) (app int, ok bool)) {
 	m.bindingAudit = fn
 }
@@ -247,8 +240,6 @@ func (m *Manager) notify(l Lease) {
 // Grant lends core from lender to borrower. Granting a core that is
 // already lent is a protocol violation and returns an error (the
 // no-double-grant invariant); the caller treats it as a bug.
-//
-//simlint:phase dispatch
 func (m *Manager) Grant(core, lender, borrower int) error {
 	l, ok := m.leases[core]
 	if !ok {
@@ -275,8 +266,6 @@ func (m *Manager) Grant(core, lender, borrower int) error {
 // back when the window closes, forced revocation engages. Returns false
 // when core is not currently in the Granted state (nothing to do — the
 // call is idempotent while a reclaim is already in flight).
-//
-//simlint:phase dispatch
 func (m *Manager) RequestReclaim(core int) bool {
 	l, ok := m.leases[core]
 	if !ok || l.State != Granted {
@@ -290,7 +279,7 @@ func (m *Manager) RequestReclaim(core int) bool {
 	m.emit(trace.LeaseReclaim, l, 0)
 	m.notify(*l)
 	m.client.ReclaimNotify(core, 0)
-	m.clock.AfterOn(m.client.Lane(core), m.cfg.Grace, func() {
+	m.clock.After(m.cfg.Grace, func() {
 		m.graceExpired(l, seq)
 	})
 	return true
@@ -324,7 +313,7 @@ func (m *Manager) escalate(l *Lease, seq uint64, attempt int, timeout simtime.Du
 	}
 	m.revocationRetries++
 	m.client.ReclaimNotify(l.Core, attempt)
-	m.clock.AfterOn(m.client.Lane(l.Core), timeout, func() {
+	m.clock.After(timeout, func() {
 		m.escalate(l, seq, attempt+1, timeout*2)
 	})
 }
@@ -333,8 +322,6 @@ func (m *Manager) escalate(l *Lease, seq uint64, attempt int, timeout simtime.Du
 // a cooperative reclaim, or the tail of a forced revocation. Safe to call
 // when no lease is active (no-op), so runtimes may report every
 // core-became-idle transition without tracking lease state themselves.
-//
-//simlint:phase dispatch
 func (m *Manager) Returned(core int) {
 	l, ok := m.leases[core]
 	if !ok || l.State == Idle {
@@ -396,8 +383,6 @@ func (m *Manager) ReclaimHist() *stats.Hist { return m.reclaimHist }
 
 // RegisterMetrics publishes the lease counters into a metrics registry,
 // which also carries them onto the live-bus snapshot.
-//
-//simlint:phase init
 func (m *Manager) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("lease.grants", func() uint64 { return m.grants })
 	r.CounterFunc("lease.reclaims", func() uint64 { return m.reclaims })
@@ -418,8 +403,6 @@ func (m *Manager) RegisterMetrics(r *obs.Registry) {
 //   - Single-Binding/no-double-grant: a granted core whose active kernel
 //     thread (per the binding audit) belongs to neither borrower nor
 //     lender — the lease and the kmod binding disagree about ownership.
-//
-//simlint:phase dispatch
 func (m *Manager) AuditLeases(violate func(format string, args ...any)) {
 	for _, msg := range m.pendingViolations {
 		violate("%s", msg)

@@ -27,16 +27,14 @@ func (f *fakeClient) ReclaimNotify(core, attempt int) {
 	if f.deaf {
 		return
 	}
-	f.clock.AfterOn(0, f.yieldIn, func() { f.mgr.Returned(core) })
+	f.clock.After(f.yieldIn, func() { f.mgr.Returned(core) })
 }
 
 func (f *fakeClient) ForceEvict(core int) {
 	f.evicts++
 	// The kernel-module yank lands after a short bounded delay.
-	f.clock.AfterOn(0, simtime.Microsecond, func() { f.mgr.Returned(core) })
+	f.clock.After(simtime.Microsecond, func() { f.mgr.Returned(core) })
 }
-
-func (f *fakeClient) Lane(core int) int { return 0 }
 
 func newHarness(deaf bool) (*simtime.Clock, *Manager, *fakeClient, *trace.Ring) {
 	clock := simtime.NewClock()
@@ -191,7 +189,7 @@ func TestLateCooperativeReturnDefusesEscalation(t *testing.T) {
 	}
 	mgr.RequestReclaim(5)
 	// Yield just after the first forced resend.
-	clock.AfterOn(0, mgr.Config().Grace+mgr.Config().RetryTimeout+simtime.Microsecond,
+	clock.After(mgr.Config().Grace+mgr.Config().RetryTimeout+simtime.Microsecond,
 		func() { mgr.Returned(5) })
 	clock.Run(simtime.Time(simtime.Millisecond))
 	if fc.evicts != 0 {
@@ -215,8 +213,8 @@ func TestAuditReportsOverdueAndOwnership(t *testing.T) {
 	mgr.client = deadClient{}
 	mgr.RequestReclaim(6)
 	// Pin an event past the bound so virtual time actually advances there
-	// (the serial clock stops at its last pending event).
-	clock.AfterOn(0, simtime.Millisecond, func() {})
+	// (the clock stops at its last pending event).
+	clock.After(simtime.Millisecond, func() {})
 	clock.Run(simtime.Time(simtime.Millisecond))
 	var got []string
 	mgr.AuditLeases(func(format string, args ...any) {
@@ -256,7 +254,6 @@ type deadClient struct{}
 
 func (deadClient) ReclaimNotify(core, attempt int) {}
 func (deadClient) ForceEvict(core int)             {}
-func (deadClient) Lane(core int) int               { return 0 }
 
 func formatf(format string, args ...any) string {
 	return strings.TrimSpace(fmt.Sprintf(format, args...))

@@ -7,29 +7,15 @@ import (
 	"strings"
 )
 
-// Ownership and phase annotations (DESIGN.md §14). Where //simlint:allow
-// excuses one finding, these directives *declare the discipline itself* —
-// which state is lane-owned, which functions run in which engine phase,
-// which mutation points observers may touch — so the type-aware analyzers
-// (laneowner, attachonly, barrierphase) can prove the sharded engine's
-// safety story statically instead of only racing it dynamically:
+// Ownership annotations (DESIGN.md §14). Where //simlint:allow excuses one
+// finding, these directives *declare the discipline itself* — which state
+// belongs to the simulation and which mutation points observers may touch —
+// so attachonly can prove observer purity statically:
 //
-//	//simlint:owner <lane|sim> [note]
+//	//simlint:owner sim [note]
 //	    On a type declaration: every instance of the type is owned sim
-//	    state (a "lane" owner means instances belong to one engine lane; a
-//	    "sim" owner means the serial coordinator owns it). On a struct
-//	    field: that field — typically a lane-indexed array on a shared
-//	    struct — is owned even though its parent struct is not.
-//
-//	//simlint:phase <init|dispatch|merge|lane> [note]
-//	    On a function or method: declares the engine phase the function
-//	    executes in. init = single-threaded setup before (or between)
-//	    runs; dispatch = serially-executed event callbacks on the
-//	    coordinator; merge = the barrier-merge phase with every lane
-//	    joined; lane = a per-lane worker running concurrently between
-//	    barriers. Phase membership propagates through the package call
-//	    graph: an unannotated helper reachable from a phase root inherits
-//	    the root's phase (lane, the restrictive phase, wins on overlap).
+//	    state. On a struct field: that field is owned even though its
+//	    parent struct is not.
 //
 //	//simlint:attachpoint <reason>
 //	    On a method of an owned type: the declared attach surface for
@@ -42,78 +28,27 @@ import (
 //	    does not mutate sim state. Interface method bodies cannot be
 //	    analyzed, so owned interfaces default every method to mutating.
 //
-// Malformed annotations (unknown owner class or phase name, a missing
+// Malformed annotations (an owner class other than "sim", a missing
 // attachpoint reason, a directive floating unattached to any declaration)
-// are hygiene findings from the laneowner analyzer, mirroring the
-// //simlint:allow hygiene rules.
+// are hygiene findings of the pseudo-analyzer "simlint", reported on every
+// run alongside the //simlint:allow hygiene rules (see annotationHygiene).
 
 const (
 	ownerPrefix  = "//simlint:owner"
-	phasePrefix  = "//simlint:phase"
 	attachPrefix = "//simlint:attachpoint"
 	roPrefix     = "//simlint:readonly"
 )
-
-// phase classifies a function's declared or inherited execution context.
-type phase uint8
-
-const (
-	phaseInit     phase = iota // single-threaded setup
-	phaseDispatch              // serial coordinator callback
-	phaseMerge                 // barrier merge, all lanes joined
-	phaseLane                  // concurrent per-lane worker
-)
-
-func (p phase) String() string {
-	switch p {
-	case phaseInit:
-		return "init"
-	case phaseDispatch:
-		return "dispatch"
-	case phaseMerge:
-		return "merge"
-	case phaseLane:
-		return "lane"
-	}
-	return "phase(?)"
-}
-
-var phaseNames = map[string]phase{
-	"init":     phaseInit,
-	"dispatch": phaseDispatch,
-	"merge":    phaseMerge,
-	"lane":     phaseLane,
-}
-
-// funcAnn is one function's explicit annotations.
-type funcAnn struct {
-	hasPhase bool
-	phase    phase
-	attach   string // attachpoint reason ("" = not an attach point)
-}
-
-// hygieneNote is one malformed-annotation finding, reported by laneowner.
-type hygieneNote struct {
-	pos token.Pos
-	msg string
-}
 
 // annots indexes one package's ownership annotations by types.Object, so
 // both the package's own analysis and cross-package lookups (a dependent
 // package writing an imported owned field) resolve through object identity.
 type annots struct {
-	ownerType  map[types.Object]string // TypeName -> owner class
-	ownerField map[types.Object]string // field Var -> owner class
-	fn         map[types.Object]funcAnn
+	ownerType  map[types.Object]bool          // owned TypeNames
+	ownerField map[types.Object]bool          // owned field Vars
+	attach     map[types.Object]string        // *types.Func -> attachpoint reason
 	readonly   map[types.Object]bool          // interface methods asserted read-only
 	decls      map[types.Object]*ast.FuncDecl // *types.Func -> its declaration
-	hygiene    []hygieneNote
-}
-
-// hasOwnerMarks reports whether the package declares any ownership state
-// worth analyzing.
-func (a *annots) hasOwnerMarks() bool {
-	return len(a.ownerType) > 0 || len(a.ownerField) > 0 || len(a.fn) > 0
+	hygiene    []Diagnostic
 }
 
 // annotsFor collects (memoized) the annotations of pkg.
@@ -139,6 +74,11 @@ func (l *Loader) annotsOfObj(obj types.Object) *annots {
 	return l.annotsFor(p)
 }
 
+// annotationHygiene returns pkg's malformed-annotation findings.
+func annotationHygiene(pkg *Package) []Diagnostic {
+	return pkg.loader.annotsFor(pkg).hygiene
+}
+
 // parseAnn decodes one comment into (prefix kind, argument fields). Fixture
 // files pair annotations with "// want" expectations on the same comment;
 // everything from that marker on belongs to the harness.
@@ -146,13 +86,13 @@ func parseAnn(text string) (prefix string, fields []string, ok bool) {
 	if i := strings.Index(text, "// want"); i > 0 {
 		text = strings.TrimSpace(text[:i])
 	}
-	for _, p := range []string{ownerPrefix, phasePrefix, attachPrefix, roPrefix} {
+	for _, p := range []string{ownerPrefix, attachPrefix, roPrefix} {
 		rest, found := strings.CutPrefix(text, p)
 		if !found {
 			continue
 		}
 		if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-			return "", nil, false // e.g. //simlint:ownership — not ours
+			return "", nil, false // e.g. //simlint:ownership, an unknown word
 		}
 		return p, strings.Fields(rest), true
 	}
@@ -161,15 +101,22 @@ func parseAnn(text string) (prefix string, fields []string, ok bool) {
 
 // collectAnnots walks pkg's top-level declarations, attaching directives to
 // the objects they document. Directives on anything else — a nested type, a
-// var block, a floating comment — are hygiene findings: the analyzers can
-// only enforce annotations bound to declarations.
+// var block, a floating comment — are hygiene findings: attachonly can only
+// enforce annotations bound to declarations.
 func collectAnnots(pkg *Package) *annots {
 	a := &annots{
-		ownerType:  map[types.Object]string{},
-		ownerField: map[types.Object]string{},
-		fn:         map[types.Object]funcAnn{},
+		ownerType:  map[types.Object]bool{},
+		ownerField: map[types.Object]bool{},
+		attach:     map[types.Object]string{},
 		readonly:   map[types.Object]bool{},
 		decls:      map[types.Object]*ast.FuncDecl{},
+	}
+	note := func(pos token.Pos, msg string) {
+		a.hygiene = append(a.hygiene, Diagnostic{
+			Analyzer: "simlint",
+			Pos:      pkg.Fset.Position(pos),
+			Message:  msg,
+		})
 	}
 	consumed := map[token.Pos]bool{}
 
@@ -188,18 +135,27 @@ func collectAnnots(pkg *Package) *annots {
 		return nil, token.NoPos, false
 	}
 
-	ownerOf := func(groups ...*ast.CommentGroup) (string, token.Pos, bool) {
+	ownerOf := func(groups ...*ast.CommentGroup) (token.Pos, bool) {
 		for _, g := range groups {
 			if fields, pos, ok := takeOne(g, ownerPrefix); ok {
-				if len(fields) == 0 || (fields[0] != "lane" && fields[0] != "sim") {
-					a.hygiene = append(a.hygiene, hygieneNote{pos,
-						`simlint:owner needs an owner class ("lane" or "sim")`})
-					return "", pos, false
+				if len(fields) == 0 || fields[0] != "sim" {
+					note(pos, `simlint:owner needs the owner class "sim"`)
+					return pos, false
 				}
-				return fields[0], pos, true
+				return pos, true
 			}
 		}
-		return "", token.NoPos, false
+		return token.NoPos, false
+	}
+
+	attachOf := func(obj types.Object, g *ast.CommentGroup) {
+		if fields, pos, ok := takeOne(g, attachPrefix); ok {
+			if len(fields) == 0 {
+				note(pos, "simlint:attachpoint has no reason; explain why observers may call it")
+			} else {
+				a.attach[obj] = strings.Join(fields, " ")
+			}
+		}
 	}
 
 	for _, f := range pkg.Files {
@@ -211,29 +167,7 @@ func collectAnnots(pkg *Package) *annots {
 					continue
 				}
 				a.decls[obj] = d
-				ann := funcAnn{}
-				if fields, pos, ok := takeOne(d.Doc, phasePrefix); ok {
-					if len(fields) == 0 {
-						a.hygiene = append(a.hygiene, hygieneNote{pos,
-							"simlint:phase names no phase (init, dispatch, merge or lane)"})
-					} else if p, known := phaseNames[fields[0]]; !known {
-						a.hygiene = append(a.hygiene, hygieneNote{pos,
-							`simlint:phase names unknown phase "` + fields[0] + `"`})
-					} else {
-						ann.hasPhase, ann.phase = true, p
-					}
-				}
-				if fields, pos, ok := takeOne(d.Doc, attachPrefix); ok {
-					if len(fields) == 0 {
-						a.hygiene = append(a.hygiene, hygieneNote{pos,
-							"simlint:attachpoint has no reason; explain why observers may call it"})
-					} else {
-						ann.attach = strings.Join(fields, " ")
-					}
-				}
-				if ann.hasPhase || ann.attach != "" {
-					a.fn[obj] = ann
-				}
+				attachOf(obj, d.Doc)
 			case *ast.GenDecl:
 				if d.Tok != token.TYPE {
 					continue
@@ -251,14 +185,42 @@ func collectAnnots(pkg *Package) *annots {
 					if len(d.Specs) == 1 {
 						docs = append(docs, d.Doc)
 					}
-					if class, _, ok := ownerOf(docs...); ok {
-						a.ownerType[tobj] = class
+					if _, ok := ownerOf(docs...); ok {
+						a.ownerType[tobj] = true
 					}
 					switch t := ts.Type.(type) {
 					case *ast.StructType:
-						collectFieldOwners(pkg, a, t.Fields, ownerOf)
+						for _, field := range t.Fields.List {
+							pos, ok := ownerOf(field.Doc, field.Comment)
+							if !ok {
+								continue
+							}
+							if len(field.Names) == 0 {
+								note(pos, "simlint:owner on an embedded field is unsupported; annotate the embedded type instead")
+								continue
+							}
+							for _, name := range field.Names {
+								if obj := pkg.Info.Defs[name]; obj != nil {
+									a.ownerField[obj] = true
+								}
+							}
+						}
 					case *ast.InterfaceType:
-						collectIfaceMarks(pkg, a, t.Methods, takeOne)
+						for _, m := range t.Methods.List {
+							if len(m.Names) == 0 {
+								continue // embedded interface
+							}
+							obj := pkg.Info.Defs[m.Names[0]]
+							if obj == nil {
+								continue
+							}
+							for _, g := range []*ast.CommentGroup{m.Doc, m.Comment} {
+								if _, _, ok := takeOne(g, roPrefix); ok {
+									a.readonly[obj] = true
+								}
+								attachOf(obj, g)
+							}
+						}
 					}
 				}
 			}
@@ -274,81 +236,47 @@ func collectAnnots(pkg *Package) *annots {
 				if !ok || consumed[c.Pos()] {
 					continue
 				}
-				a.hygiene = append(a.hygiene, hygieneNote{c.Pos(),
-					strings.TrimPrefix(prefix, "//") + " directive is not attached to a top-level type, field or function declaration"})
+				note(c.Pos(), strings.TrimPrefix(prefix, "//")+
+					" directive is not attached to a top-level type, field or function declaration")
 			}
 		}
 	}
 	return a
 }
 
-func collectFieldOwners(pkg *Package, a *annots, fields *ast.FieldList,
-	ownerOf func(...*ast.CommentGroup) (string, token.Pos, bool)) {
-	for _, field := range fields.List {
-		class, pos, ok := ownerOf(field.Doc, field.Comment)
-		if !ok {
-			continue
-		}
-		if len(field.Names) == 0 {
-			a.hygiene = append(a.hygiene, hygieneNote{pos,
-				"simlint:owner on an embedded field is unsupported; annotate the embedded type instead"})
-			continue
-		}
-		for _, name := range field.Names {
-			if obj := pkg.Info.Defs[name]; obj != nil {
-				a.ownerField[obj] = class
-			}
-		}
+// attachReasonOf resolves fn's //simlint:attachpoint reason ("" if none),
+// looking across package boundaries through the loader.
+func (l *Loader) attachReasonOf(fn *types.Func) string {
+	ann := l.annotsOfObj(fn)
+	if ann == nil {
+		return ""
 	}
+	return ann.attach[fn]
 }
 
-func collectIfaceMarks(pkg *Package, a *annots, methods *ast.FieldList,
-	takeOne func(*ast.CommentGroup, string) ([]string, token.Pos, bool)) {
-	for _, m := range methods.List {
-		if len(m.Names) == 0 {
-			continue // embedded interface
-		}
-		obj := pkg.Info.Defs[m.Names[0]]
-		if obj == nil {
-			continue
-		}
-		for _, g := range []*ast.CommentGroup{m.Doc, m.Comment} {
-			if _, _, ok := takeOne(g, roPrefix); ok {
-				a.readonly[obj] = true
-			}
-			if fields, pos, ok := takeOne(g, attachPrefix); ok {
-				if len(fields) == 0 {
-					a.hygiene = append(a.hygiene, hygieneNote{pos,
-						"simlint:attachpoint has no reason; explain why observers may call it"})
-				} else {
-					a.fn[obj] = funcAnn{attach: strings.Join(fields, " ")}
-				}
-			}
-		}
-	}
+// readonlyIface reports whether fn is an interface method asserted
+// //simlint:readonly in its declaring package.
+func (l *Loader) readonlyIface(fn *types.Func) bool {
+	ann := l.annotsOfObj(fn)
+	return ann != nil && ann.readonly[fn]
 }
 
 // ownedAt reports whether the selection writes or reaches owned state: the
 // selected field itself carries an owner annotation, or the receiver's
 // named type is owner-annotated as a whole. Lookups cross package
 // boundaries through the loader's annotation cache.
-func (l *Loader) ownedAt(sel *types.Selection) (class string, owned bool) {
-	obj := sel.Obj()
-	if v, ok := obj.(*types.Var); ok {
-		if ann := l.annotsOfObj(v); ann != nil {
-			if class, ok := ann.ownerField[v]; ok {
-				return class, true
-			}
+func (l *Loader) ownedAt(sel *types.Selection) bool {
+	if v, ok := sel.Obj().(*types.Var); ok {
+		if ann := l.annotsOfObj(v); ann != nil && ann.ownerField[v] {
+			return true
 		}
 	}
 	if tn := namedTypeName(sel.Recv()); tn != nil {
-		if ann := l.annotsOfObj(tn); ann != nil {
-			if class, ok := ann.ownerType[tn]; ok {
-				return class, true
-			}
+		if ann := l.annotsOfObj(tn); ann != nil && ann.ownerType[tn] {
+			return true
 		}
 	}
-	return "", false
+	return false
 }
 
 // namedTypeName unwraps pointers and aliases down to the defined type's

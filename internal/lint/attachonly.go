@@ -29,13 +29,11 @@ func runAttachOnly(pass *Pass) {
 	}
 	l := pkg.loader
 	checkWrite := func(lhs ast.Expr) {
-		lv := ownedLValue(pass.Info, l, lhs)
-		if lv.sel == nil {
-			return
+		if sel := ownedLValue(pass.Info, l, lhs); sel != nil {
+			pass.Reportf(sel.Pos(),
+				"observer-grade package writes sim-owned field %s; observability layers hold no sim state",
+				sel.Sel.Name)
 		}
-		pass.Reportf(lv.sel.Pos(),
-			"observer-grade package writes %s-owned field %s; observability layers hold no sim state",
-			lv.class, lv.sel.Sel.Name)
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -74,7 +72,7 @@ func checkMethodUse(pass *Pass, l *Loader, sel *ast.SelectorExpr) {
 	if ann == nil {
 		return
 	}
-	if _, owned := ann.ownerType[tn]; !owned {
+	if !ann.ownerType[tn] {
 		return
 	}
 	if reason := l.attachReasonOf(fn); reason != "" {
@@ -94,5 +92,28 @@ func checkMethodUse(pass *Pass, l *Loader, sel *ast.SelectorExpr) {
 		pass.Reportf(sel.Sel.Pos(),
 			"observer calls mutating method %s.%s of an owned type",
 			tn.Name(), fn.Name())
+	}
+}
+
+// ownedLValue walks an lvalue chain (selectors, indexes, derefs, parens)
+// from the written expression down to its root and returns the outermost
+// field selection that reaches owned state, or nil. Ownership is looked up
+// through the loader, so annotations of imported packages count.
+func ownedLValue(info *types.Info, l *Loader, lhs ast.Expr) *ast.SelectorExpr {
+	e := lhs
+	for {
+		switch x := unparen(e).(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal && l.ownedAt(s) {
+				return x
+			}
+			e = x.X
+		default:
+			return nil
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // naming an analyzer that does not exist, is itself reported — annotation
 // hygiene is part of the repo-wide zero-findings invariant.
 
-const directivePrefix = "//simlint:allow"
+const directivePrefix = "//simlint:"
 
 type directive struct {
 	analyzer string
@@ -91,7 +91,9 @@ func collectDirectives(pkg *Package, known map[string]bool) *suppressor {
 }
 
 // parseDirective decodes one comment. ok reports it is a simlint directive
-// at all; hygiene is non-empty when the directive is malformed.
+// at all; hygiene is non-empty when the directive is malformed. Every line
+// comment that starts with //simlint: is one; the ownership words are
+// decoded by collectAnnots, and any other word is a hygiene finding.
 func parseDirective(text string, known map[string]bool) (directive, string, bool) {
 	// Fixture files pair a directive with a "// want" expectation on the
 	// same comment; everything from that marker on belongs to the harness.
@@ -102,10 +104,21 @@ func parseDirective(text string, known map[string]bool) (directive, string, bool
 	if !found {
 		return directive{}, "", false
 	}
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return directive{}, "", false // e.g. //simlint:allowed — not ours
-	}
 	fields := strings.Fields(rest)
+	word := ""
+	if len(fields) > 0 && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
+		word, fields = fields[0], fields[1:]
+	}
+	switch word {
+	case "allow":
+	case "owner", "attachpoint", "readonly":
+		return directive{}, "", false // ownership annotation (annot.go)
+	default:
+		// A misspelt word must not silently drop the protection it was
+		// meant to declare: //simlint:ownr on a type fails open.
+		return directive{}, `unknown directive "` + directivePrefix + word +
+			`"; simlint knows allow, owner, attachpoint and readonly`, true
+	}
 	if len(fields) == 0 {
 		return directive{}, "simlint:allow directive names no analyzer", true
 	}

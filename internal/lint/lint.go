@@ -20,17 +20,12 @@
 //   - durationlit: raw integer nanosecond literals where a simtime value is
 //     expected — typed constants only.
 //
-// A second, type-aware tier (DESIGN.md §14) enforces the sharded engine's
-// data-ownership contract over //simlint:owner and //simlint:phase
-// annotations, using a per-package call graph with phase reachability:
+// A seventh, type-aware analyzer (DESIGN.md §14) enforces observer purity
+// over //simlint:owner, //simlint:attachpoint and //simlint:readonly
+// annotations:
 //
-//   - laneowner: owner-annotated state written from the wrong phase —
-//     sim-class state is serial-only, lane-class writes must be confined
-//     to the worker's own lane.
 //   - attachonly: observer-grade packages (internal/obs/...) mutating sim
 //     state — observers read, and attach through declared attach points.
-//   - barrierphase: merge- or dispatch-phase functions reachable from
-//     lane-callback context — a structural race between barriers.
 //
 // Findings are suppressed with an explicit, reasoned directive:
 //
@@ -39,7 +34,9 @@
 // on (or immediately above) the offending line, or in a function's doc
 // comment to cover the whole function. A directive with an unknown analyzer
 // name or no reason is itself a finding, and so is a directive that matched
-// nothing while its analyzer patrolled the package (the stale-allow audit).
+// nothing while its analyzer patrolled the package (the stale-allow audit),
+// a //simlint: comment whose word is not allow, owner, attachpoint or
+// readonly, and a malformed ownership annotation.
 // cmd/simlint is the driver; the repo-wide meta-test (TestSimlintRepoClean)
 // keeps the tree at zero unsuppressed findings.
 package lint
@@ -87,9 +84,9 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	// Lpkg is the loaded package itself, giving type-aware analyzers
-	// (ownercheck tier) the loader's whole-program view: dependency ASTs,
-	// ownership annotations, and the memoized call-graph analyses.
+	// Lpkg is the loaded package itself, giving the type-aware analyzer
+	// (attachonly) the loader's whole-program view: dependency ASTs and
+	// ownership annotations.
 	Lpkg *Package
 
 	diags *[]Diagnostic
@@ -120,19 +117,19 @@ func (p *Pass) ReportSuppressedf(pos token.Pos, reason, format string, args ...a
 }
 
 // All returns the full simlint suite in reporting order: the six
-// determinism analyzers (DESIGN.md §9) followed by the three type-aware
-// ownership analyzers (DESIGN.md §14).
+// determinism analyzers (DESIGN.md §9) followed by the type-aware
+// attachonly (DESIGN.md §14).
 func All() []*Analyzer {
 	return []*Analyzer{
 		Wallclock, GlobalRand, MapOrder, GoSpawn, SelectOrder, DurationLit,
-		LaneOwner, AttachOnly, BarrierPhase,
+		AttachOnly,
 	}
 }
 
 // Run applies the analyzers to pkg and returns every diagnostic — including
-// suppressed ones, marked as such — plus any directive-hygiene findings,
-// sorted by position. Callers that only gate on violations should filter
-// with Unsuppressed.
+// suppressed ones, marked as such — plus any directive- and
+// annotation-hygiene findings, sorted by position. Callers that only gate
+// on violations should filter with Unsuppressed.
 func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	active := map[string]bool{}
@@ -158,6 +155,7 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	}
 	sup := collectDirectives(pkg, known)
 	diags = append(diags, sup.issues...)
+	diags = append(diags, annotationHygiene(pkg)...)
 	for i := range diags {
 		d := &diags[i]
 		if d.Suppressed {

@@ -34,21 +34,21 @@ func TestGoSpawnOutOfScope(t *testing.T) {
 	linttest.RunNoFindings(t, "testdata/src/gospawn", "skyloft/internal/proc", lint.GoSpawn)
 }
 
-// TestGoSpawnLaneWorker checks the engine lane-worker allowlist: the
-// fixture file whose path ends in internal/simtime/engine_par.go spawns a
-// goroutine with no want comment (suppressed by the file allowlist), while
-// the sibling file's spawn in the same package is still reported — the
-// sanction is per-file, not per-package.
-func TestGoSpawnLaneWorker(t *testing.T) {
-	linttest.Run(t, "testdata/src/laneworker/internal/simtime",
-		"skyloft/internal/simtime/laneworkerfixture", lint.GoSpawn)
+// TestGoSpawnSweepPool checks the per-file gospawn allowlist: the fixture
+// file whose path ends in internal/bench/sweep.go spawns a goroutine with
+// no want comment (suppressed by the file allowlist), while the sibling
+// file's spawn in the same package is still reported — the sanction is
+// per-file, not per-package.
+func TestGoSpawnSweepPool(t *testing.T) {
+	linttest.Run(t, "testdata/src/sweeppool/internal/bench",
+		"skyloft/internal/bench/sweeppoolfixture", lint.GoSpawn)
 }
 
-// TestGoSpawnLaneWorkerAccounting checks the allowlisted finding stays in
+// TestGoSpawnSweepPoolAccounting checks the allowlisted finding stays in
 // the raw diagnostic stream, marked suppressed with the allowlist reason.
-func TestGoSpawnLaneWorkerAccounting(t *testing.T) {
-	pkg := linttest.Load(t, "testdata/src/laneworker/internal/simtime",
-		"skyloft/internal/simtime/laneworkeraccfixture")
+func TestGoSpawnSweepPoolAccounting(t *testing.T) {
+	pkg := linttest.Load(t, "testdata/src/sweeppool/internal/bench",
+		"skyloft/internal/bench/sweeppoolaccfixture")
 	var suppressed []lint.Diagnostic
 	for _, d := range lint.Run(pkg, []*lint.Analyzer{lint.GoSpawn}) {
 		if d.Suppressed {
@@ -62,7 +62,7 @@ func TestGoSpawnLaneWorkerAccounting(t *testing.T) {
 	if d.Reason == "" {
 		t.Errorf("allowlisted finding carries no reason: %s", d)
 	}
-	if want := "engine_par.go"; !strings.HasSuffix(d.Pos.Filename, want) {
+	if want := "sweep.go"; !strings.HasSuffix(d.Pos.Filename, want) {
 		t.Errorf("suppressed finding in %s, want file %s", d.Pos.Filename, want)
 	}
 }
@@ -123,21 +123,6 @@ func TestDurationLit(t *testing.T) {
 	linttest.Run(t, "testdata/src/durationlit", "skyloft/internal/core/durationlitfixture", lint.DurationLit)
 }
 
-// TestLaneOwner drives the lane-ownership analyzer through its fixture:
-// confined lane writes and serial-phase writes stay silent; cross-lane,
-// sim-class-from-lane and outside-any-phase writes are findings, as are
-// malformed ownership annotations.
-func TestLaneOwner(t *testing.T) {
-	linttest.Run(t, "testdata/src/laneowner", "skyloft/internal/simtime/laneownerfixture", lint.LaneOwner)
-}
-
-// TestBarrierPhase checks phase-reachability enforcement: merge- and
-// dispatch-declared functions may not be called or referenced from lane
-// context, while init-phase and unannotated callees stay legal.
-func TestBarrierPhase(t *testing.T) {
-	linttest.Run(t, "testdata/src/barrierphase", "skyloft/internal/simtime/barrierphasefixture", lint.BarrierPhase)
-}
-
 // TestAttachOnly loads the observer fixture under an obs path: mutating
 // methods of the real owned types (trace.Ring, simtime.EventCore) and
 // owner-field writes are findings; attach points and read-only queries are
@@ -181,6 +166,15 @@ func TestAttachPointAccounting(t *testing.T) {
 // while a well-formed directive on the same package still works.
 func TestDirectiveHygiene(t *testing.T) {
 	linttest.Run(t, "testdata/src/directives", "skyloft/internal/core/directivesfixture", lint.Wallclock)
+}
+
+// TestAnnotationHygiene checks that malformed ownership annotations and
+// //simlint: comments with an unknown word are findings in any package and
+// under any analyzer set: once under an observer path with attachonly, and
+// once under a non-observer path with only wallclock running.
+func TestAnnotationHygiene(t *testing.T) {
+	linttest.Run(t, "testdata/src/annotations", "skyloft/internal/obs/annotationsfixture", lint.AttachOnly)
+	linttest.Run(t, "testdata/src/annotations", "skyloft/internal/core/annotationsfixture", lint.Wallclock)
 }
 
 // TestSuppressionAccounting checks that suppressed findings stay in the raw

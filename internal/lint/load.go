@@ -54,12 +54,10 @@ type Loader struct {
 	std  types.Importer
 	pkgs map[string]*loadResult // keyed by import path
 
-	// Memoized results of the type-aware analyses, keyed by import path:
-	// ownership/phase annotations, the per-package call graph with phase
-	// reachability, and method mutation verdicts (shared across packages —
-	// *types.Func identity is loader-wide).
+	// Memoized results of the type-aware analyses: ownership annotations
+	// keyed by import path, and method mutation verdicts (shared across
+	// packages — *types.Func identity is loader-wide).
 	annots  map[string]*annots
-	owner   map[string]*ownerAnalysis
 	mutMemo map[*types.Func]mutVerdict
 }
 
@@ -87,7 +85,6 @@ func NewLoader(modRoot string) (*Loader, error) {
 		std:     importer.ForCompiler(fset, "source", nil),
 		pkgs:    map[string]*loadResult{},
 		annots:  map[string]*annots{},
-		owner:   map[string]*ownerAnalysis{},
 		mutMemo: map[*types.Func]mutVerdict{},
 	}, nil
 }

@@ -141,31 +141,3 @@ func TestLoadSkipsNonPackageDirs(t *testing.T) {
 		}
 	}
 }
-
-// TestLoadRealParallelEngineFile ties the build-tag property to the code it
-// protects: the parallel lane-maintenance file engine_par.go must be in the
-// loaded simtime package, so the ownership analyzers always see the lane
-// workers regardless of how the host would build the package.
-func TestLoadRealParallelEngineFile(t *testing.T) {
-	modRoot, err := lint.FindModRoot(".")
-	if err != nil {
-		t.Fatalf("locating module root: %v", err)
-	}
-	loader := newTestLoader(t, modRoot)
-	pkg, err := loader.LoadDir(filepath.Join(modRoot, "internal", "simtime"), "skyloft/internal/simtime")
-	if err != nil {
-		t.Fatalf("loading internal/simtime: %v", err)
-	}
-	found := false
-	for _, f := range pkg.Files {
-		if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "engine_par.go") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("engine_par.go missing from the loaded simtime package")
-	}
-	if pkg.Types.Scope().Lookup("Engine") == nil {
-		t.Error("Engine missing from the type-checked simtime scope")
-	}
-}

@@ -26,13 +26,10 @@ type Waker interface {
 	ExternalWake(t *sched.Thread)
 }
 
-// Clock is the subset of the simtime event core the NIC needs. AfterOn
-// lets the datapath pin deliveries to the event-core lane serving the
-// polling core when the machine runs a sharded engine.
+// Clock is the subset of the simtime event core the NIC needs.
 type Clock interface {
 	Now() simtime.Time
 	After(d simtime.Duration, fn func()) simtime.Event
-	AfterOn(lane int, d simtime.Duration, fn func()) simtime.Event
 }
 
 // Observer watches the datapath for per-request causal tracing: arrival is
@@ -54,7 +51,6 @@ type Observer interface {
 type NIC struct {
 	clock Clock
 	cost  cycles.Model
-	lane  int            // event-core lane for datapath deliveries
 	rings []func(Packet) // per-ring handler (installed by the app/runtime)
 	seq   uint64
 
@@ -97,11 +93,6 @@ func NewNIC(clock Clock, cost cycles.Model, n int) *NIC {
 	}
 	return nic
 }
-
-// SetLane pins the NIC's datapath deliveries to an event-core lane —
-// normally the lane of the polling core (hw.Machine.LaneOf). The serial
-// clock ignores the hint.
-func (n *NIC) SetLane(lane int) { n.lane = lane }
 
 // OnRing installs the handler invoked for packets steered to ring i.
 func (n *NIC) OnRing(i int, fn func(Packet)) { n.rings[i] = fn }
@@ -179,7 +170,7 @@ func (n *NIC) Deliver(p Packet) {
 	}
 	delay := n.cost.NICPoll + n.cost.RingHop + n.cost.NetStack
 	n.inflight = append(n.inflight, inflightPkt{ring: ring, p: p})
-	n.clock.AfterOn(n.lane, delay, n.deliverFn)
+	n.clock.After(delay, n.deliverFn)
 }
 
 // Ring is a blocking packet queue for worker-pool servers: external pushes

@@ -16,10 +16,9 @@
 // consumes the trace ring through an extra tap (trace.Ring.AddTap) and the
 // datapath through netsim.Observer / server.CausalTracer callbacks, never
 // schedules events, and never mutates simulation state — golden trace and
-// span hashes are unchanged with the tracer attached. Because the event
-// core executes callbacks in the same global order at every shard count,
-// the tracer's state — including the deterministic top-K slow-request
-// exemplar selection — is bit-identical across -shards 0/1/2/4/8.
+// span hashes are unchanged with the tracer attached. The tracer's state —
+// including the deterministic top-K slow-request exemplar selection — is a
+// function of the dispatch order alone, so it replays bit-identically.
 package causal
 
 import (
@@ -585,7 +584,7 @@ func mixString(h uint64, s string) uint64 {
 
 // Hash digests the tracer's observable state — journey counts plus every
 // retained exemplar, hops included. Two runs traced the same requests the
-// same way iff their hashes match: the cross-shard differential's witness.
+// same way iff their hashes match: the replay differential's witness.
 func (t *Tracer) Hash() uint64 {
 	h := mix(fnvOffset, t.started)
 	h = mix(h, t.completed)

@@ -1,9 +1,9 @@
 package live_test
 
-// The live bus's own determinism and shard-invariance witnesses: the
-// published snapshot stream must be a pure function of (seed, plan) —
-// identical across replays and across event-core shard counts — and the
-// flight recorder's post-mortem bundle must be a valid, parseable export.
+// The live bus's own determinism witnesses: the published snapshot stream
+// must be a pure function of (seed, plan) — identical across replays — and
+// the flight recorder's post-mortem bundle must be a valid, parseable
+// export.
 
 import (
 	"bytes"
@@ -38,14 +38,11 @@ type liveRun struct {
 
 // runLive executes the shared mixed workload with the bus attached, plus an
 // episode-mode causal tracer feeding exemplar summaries into the snapshots
-// — so every stream-invariance and replay witness below also covers the
-// tracer's exemplar selection. shards selects the event core; mutate tweaks
-// the bus config before Attach.
-func runLive(t *testing.T, seed uint64, shards int, mutate func(*live.Config)) liveRun {
+// — so every replay witness below also covers the tracer's exemplar
+// selection. mutate tweaks the bus config before Attach.
+func runLive(t *testing.T, seed uint64, mutate func(*live.Config)) liveRun {
 	t.Helper()
-	hwCfg := hw.DefaultConfig()
-	hwCfg.Shards = shards
-	m := hw.NewMachine(hwCfg)
+	m := hw.NewMachine(hw.DefaultConfig())
 	tr := trace.New(1 << 14)
 	e := core.New(core.Config{
 		Machine: m, Trace: tr, Seed: seed,
@@ -111,66 +108,17 @@ func runLive(t *testing.T, seed uint64, shards int, mutate func(*live.Config)) l
 	return r
 }
 
-// canonical strips the Engine section (host shard topology) so snapshot
-// sequences can be compared across shard counts the same way the stream
-// hash does.
-func canonical(t *testing.T, snaps []live.Snapshot) []byte {
-	t.Helper()
-	var b bytes.Buffer
-	for _, s := range snaps {
-		s.Engine = nil
-		line, err := json.Marshal(&s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Write(line)
-		b.WriteByte('\n')
-	}
-	return b.Bytes()
-}
-
-// TestStreamShardInvariance is the shard differential: the serial clock and
-// the engine at 1, 2, 4 and 8 lanes must publish identical window sequences
-// — same stream hash, same window count, same canonical snapshots — and
-// the trace hash must match serial too (the bus rides on the engine's
-// serial-equivalence guarantee).
-func TestStreamShardInvariance(t *testing.T) {
-	serial := runLive(t, 7, 0, nil)
-	if serial.windows < 8 {
-		t.Fatalf("serial run published only %d windows; workload too short", serial.windows)
-	}
-	want := canonical(t, serial.hist)
-	for _, shards := range []int{1, 2, 4, 8} {
-		sharded := runLive(t, 7, shards, nil)
-		if sharded.traceHash != serial.traceHash {
-			t.Errorf("shards=%d: trace hash %#x, serial %#x", shards, sharded.traceHash, serial.traceHash)
-		}
-		if sharded.stream != serial.stream {
-			t.Errorf("shards=%d: stream hash %#x, serial %#x", shards, sharded.stream, serial.stream)
-		}
-		if sharded.windows != serial.windows {
-			t.Errorf("shards=%d: %d windows, serial %d", shards, sharded.windows, serial.windows)
-		}
-		if got := canonical(t, sharded.hist); !bytes.Equal(got, want) {
-			t.Errorf("shards=%d: canonical snapshot stream diverged from serial", shards)
-		}
-		// The engine profile must be present on sharded runs and absent on
-		// serial — and carry the configured lane count.
-		last := sharded.hist[len(sharded.hist)-1]
-		if last.Engine == nil || last.Engine.Shards != shards || len(last.Engine.Lanes) != shards {
-			t.Errorf("shards=%d: engine profile missing or wrong: %+v", shards, last.Engine)
-		}
-	}
-	if serial.hist[len(serial.hist)-1].Engine != nil {
-		t.Error("serial run carries an engine profile")
-	}
-}
-
-// TestStreamReplayDeterminism: same seed, same shard count, twice — the
-// exported NDJSON must be byte-identical and the stream hash equal.
+// TestStreamReplayDeterminism: same seed twice — the trace hash must match,
+// the exported NDJSON must be byte-identical and the stream hash equal.
 func TestStreamReplayDeterminism(t *testing.T) {
-	a := runLive(t, 21, 2, nil)
-	b := runLive(t, 21, 2, nil)
+	a := runLive(t, 21, nil)
+	if a.windows < 8 {
+		t.Fatalf("run published only %d windows; workload too short", a.windows)
+	}
+	b := runLive(t, 21, nil)
+	if a.traceHash != b.traceHash {
+		t.Fatalf("trace hashes diverged across replays: %#x vs %#x", a.traceHash, b.traceHash)
+	}
 	if a.stream != b.stream {
 		t.Fatalf("stream hashes diverged across replays: %#x vs %#x", a.stream, b.stream)
 	}
@@ -199,7 +147,7 @@ func TestStreamReplayDeterminism(t *testing.T) {
 // TestHistorySince: the /history cursor semantics — Seq > since, oldest
 // first, bounded by the configured ring.
 func TestHistorySince(t *testing.T) {
-	r := runLive(t, 5, 0, func(c *live.Config) { c.History = 4 })
+	r := runLive(t, 5, func(c *live.Config) { c.History = 4 })
 	if len(r.hist) != 4 {
 		t.Fatalf("history retained %d snapshots, want 4", len(r.hist))
 	}
@@ -221,7 +169,7 @@ func TestHistorySince(t *testing.T) {
 // and exemplars.json is a causal document skyloft-explain can read.
 func TestFlightDump(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "bundle")
-	r := runLive(t, 13, 2, func(c *live.Config) {
+	r := runLive(t, 13, func(c *live.Config) {
 		c.Starvation = simtime.Nanosecond // everything starves: guaranteed finding
 		c.Recorder = &live.Recorder{Dir: dir}
 	})
@@ -293,7 +241,7 @@ func TestFlightDump(t *testing.T) {
 // clean workload starves, so an armed recorder must stay silent.
 func TestFlightQuietWithoutFindings(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "bundle")
-	r := runLive(t, 13, 0, func(c *live.Config) {
+	r := runLive(t, 13, func(c *live.Config) {
 		c.Recorder = &live.Recorder{Dir: dir}
 	})
 	if r.triggers != 0 || r.dumps != 0 {

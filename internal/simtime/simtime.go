@@ -10,8 +10,8 @@
 // slab (no per-event allocation) and are indexed by a single-level timer
 // wheel covering the near future, with an overflow heap for far timers.
 // Dispatch order is exactly (deadline, schedule sequence), identical to a
-// pure min-heap; see HeapClock for the reference implementation the
-// differential tests compare against.
+// pure min-heap; FuzzClockMatchesHeap checks it against the reference
+// heap in heapclock_test.go.
 package simtime
 
 import (
@@ -96,10 +96,8 @@ const (
 	locOverflow int32 = -2
 )
 
-// EventCore is the event-queue surface the simulated machine runs on,
-// implemented by both the serial Clock and the sharded Engine. The AtOn /
-// AfterOn variants carry a lane hint (which shard the event belongs to);
-// the serial Clock ignores it, making it the exact 1-lane degenerate case.
+// EventCore is the event-queue surface the simulated machine runs on;
+// *Clock is its implementation.
 //
 // The interface is owned sim state (DESIGN.md §14): attachonly treats any
 // unmarked method as mutating, since an interface has no body to analyze.
@@ -111,8 +109,6 @@ type EventCore interface {
 	Now() Time //simlint:readonly
 	At(at Time, fn func()) Event
 	After(d Duration, fn func()) Event
-	AtOn(lane int, at Time, fn func()) Event
-	AfterOn(lane int, d Duration, fn func()) Event
 	Cancel(e Event) bool
 	Step() bool
 	Run(horizon Time) Time
@@ -122,32 +118,13 @@ type EventCore interface {
 	Pending() int       //simlint:readonly
 	StoreSize() int     //simlint:readonly
 	StoreFree() int     //simlint:readonly
-	Lanes() int         //simlint:readonly
-	OverheadNs() uint64 //simlint:readonly
 }
 
-// Modeled per-operation costs of the event core itself, in nanoseconds —
-// the same deterministic-cost-model approach the simulator applies to
-// scheduler operations (Table 7), turned inward on its own queue. A wheel
-// scan prices the bitmap walk plus the head-node dereference; a compare
-// prices one cached (at, seq) comparison (heap-root check or a lane-argmin
-// leg). OverheadNs sums them, so `engine.events_per_sec` is reproducible
-// bit-for-bit while still reflecting the algorithmic cost per dispatch:
-// the serial Run loop pays two scans per event (peek + take), the sharded
-// engine pays one scan plus a handful of compares.
-const (
-	scanCostNs = 16
-	cmpCostNs  = 1
-)
-
-// Clock owns virtual time and the pending-event store. A Clock is
-// lane-owned state (DESIGN.md §14): standalone it belongs to the serial
-// coordinator, and as one shard of an Engine it belongs to that lane
-// between barriers — either way, exactly one holder mutates it at a time,
-// and laneowner requires lane-context writes to go through a lane-local
-// handle.
+// Clock owns virtual time and the pending-event store. It is owned sim
+// state (DESIGN.md §14): observer-grade packages may read it but never
+// schedule, cancel or dispatch.
 //
-//simlint:owner lane
+//simlint:owner sim
 type Clock struct {
 	now      Time
 	seq      uint64
@@ -164,14 +141,9 @@ type Clock struct {
 	bitmap   [wheelWords]uint64 // occupancy, one bit per slot
 
 	heap []uint32 // overflow: 4-ary min-heap of node indices by (at, seq)
-
-	opsScan uint64 // wheel scans performed (cost model, see OverheadNs)
-	opsCmp  uint64 // cached head/root compares performed
 }
 
 // NewClock returns a clock at time zero with an empty event queue.
-//
-//simlint:phase init
 func NewClock() *Clock {
 	return &Clock{nodes: make([]node, 1, 64)} // index 0 reserved as sentinel
 }
@@ -195,22 +167,9 @@ func (c *Clock) StoreSize() int { return len(c.nodes) - 1 }
 // escaped both the queue and the pool.
 func (c *Clock) StoreFree() int { return c.nFree }
 
-// Lanes reports the shard count: a serial clock is always one lane.
-func (c *Clock) Lanes() int { return 1 }
-
-// OverheadNs reports the modeled event-core bookkeeping time so far (see
-// scanCostNs/cmpCostNs): the deterministic stand-in for wall-clock queue
-// overhead that `engine.events_per_sec` is derived from.
-func (c *Clock) OverheadNs() uint64 {
-	return c.opsScan*scanCostNs + c.opsCmp*cmpCostNs
-}
-
 // alloc takes a slot from the freelist (or grows the slab) and initialises
-// it as a pending event carrying the caller-supplied sequence number (the
-// clock's own counter for serial use; the engine-global counter when the
-// clock serves as one lane of a sharded engine, so cross-lane tie-breaks
-// still replay the serial dispatch order exactly).
-func (c *Clock) alloc(at Time, fn func(), seq uint64) uint32 {
+// it as a pending event carrying the current schedule sequence number.
+func (c *Clock) alloc(at Time, fn func()) uint32 {
 	var id uint32
 	if c.free != 0 {
 		id = c.free
@@ -222,7 +181,7 @@ func (c *Clock) alloc(at Time, fn func(), seq uint64) uint32 {
 	}
 	n := &c.nodes[id]
 	n.at = at
-	n.seq = seq
+	n.seq = c.seq
 	n.fn = fn
 	n.gen++
 	if n.gen == 0 { // generation 0 is reserved for the zero handle
@@ -245,21 +204,12 @@ func (c *Clock) release(id uint32) {
 
 // At schedules fn to run at absolute time at. Scheduling in the past (before
 // Now) panics: it would silently reorder causality.
-//
-//simlint:phase dispatch
 func (c *Clock) At(at Time, fn func()) Event {
 	if at < c.now {
 		panic(fmt.Sprintf("simtime: scheduling event at %v before now %v", at, c.now))
 	}
 	c.seq++
-	return c.schedule(at, fn, c.seq)
-}
-
-// schedule inserts an already-validated event with an explicit sequence
-// number and returns its handle. The engine calls this directly with its
-// global counter; At wraps it with the clock-local one.
-func (c *Clock) schedule(at Time, fn func(), seq uint64) Event {
-	id := c.alloc(at, fn, seq)
+	id := c.alloc(at, fn)
 	if int64(at)>>granBits-c.baseTick < wheelSlots {
 		c.wheelAdd(id)
 	} else {
@@ -269,8 +219,6 @@ func (c *Clock) schedule(at Time, fn func(), seq uint64) Event {
 }
 
 // After schedules fn to run d nanoseconds from now.
-//
-//simlint:phase dispatch
 func (c *Clock) After(d Duration, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("simtime: negative delay %v", d))
@@ -278,28 +226,8 @@ func (c *Clock) After(d Duration, fn func()) Event {
 	return c.At(c.now+d, fn)
 }
 
-// AtOn schedules fn at absolute time at on a lane. The serial clock is one
-// lane, so the hint is ignored — it exists so machine code can thread shard
-// identity without caring which event core is underneath.
-//
-//simlint:phase dispatch
-func (c *Clock) AtOn(lane int, at Time, fn func()) Event {
-	_ = lane
-	return c.At(at, fn)
-}
-
-// AfterOn schedules fn after d on a lane (ignored on the serial clock).
-//
-//simlint:phase dispatch
-func (c *Clock) AfterOn(lane int, d Duration, fn func()) Event {
-	_ = lane
-	return c.After(d, fn)
-}
-
 // Cancel removes a pending event. Cancelling the zero handle, or an event
 // that already fired or was already cancelled, is a no-op reporting false.
-//
-//simlint:phase dispatch
 func (c *Clock) Cancel(e Event) bool {
 	if e.idx == 0 || int(e.idx) >= len(c.nodes) {
 		return false
@@ -319,8 +247,6 @@ func (c *Clock) Cancel(e Event) bool {
 
 // Step dispatches the earliest pending event, advancing time to its
 // deadline. It reports false when the queue is empty.
-//
-//simlint:phase dispatch
 func (c *Clock) Step() bool {
 	id := c.takeMin()
 	if id == 0 {
@@ -345,14 +271,10 @@ func (c *Clock) Step() bool {
 // it). The observer must not schedule events or mutate simulation state —
 // it exists for after-each-event assertions (faults.InvariantChecker) and
 // must leave a run bit-identical to one without it.
-//
-//simlint:phase init
 func (c *Clock) SetObserver(fn func()) { c.observer = fn }
 
 // Run dispatches events until the queue drains or virtual time would exceed
 // horizon. It returns the time of the last dispatched event.
-//
-//simlint:phase dispatch
 func (c *Clock) Run(horizon Time) Time {
 	for {
 		t, ok := c.peekTime()
@@ -365,8 +287,6 @@ func (c *Clock) Run(horizon Time) Time {
 
 // RunUntil dispatches events while pred returns false, stopping at horizon.
 // It reports whether pred became true.
-//
-//simlint:phase dispatch
 func (c *Clock) RunUntil(horizon Time, pred func() bool) bool {
 	for !pred() {
 		t, ok := c.peekTime()
@@ -422,7 +342,6 @@ func (c *Clock) peekTime() (Time, bool) {
 		ok = true
 	}
 	if len(c.heap) > 0 {
-		c.opsCmp++
 		if t := c.nodes[c.heap[0]].at; !ok || t < best {
 			best = t
 			ok = true
@@ -431,49 +350,10 @@ func (c *Clock) peekTime() (Time, bool) {
 	return best, ok
 }
 
-// peekMin reports the earliest pending event's node index without removing
-// it (0 when the queue is empty) — the lane-head probe the sharded engine
-// caches between dispatches. Like peekTime it compares the overflow root
-// directly, so unmigrated in-window events are never missed.
-func (c *Clock) peekMin() uint32 {
-	var best uint32
-	if c.nWheel > 0 {
-		s, _ := c.scan()
-		best = c.slots[s]
-	}
-	if len(c.heap) > 0 {
-		c.opsCmp++
-		if id := c.heap[0]; best == 0 || c.heapLess(id, best) {
-			best = id
-		}
-	}
-	return best
-}
-
-// takeKnown removes a specific pending event previously reported by
-// peekMin. The caller guarantees id is this clock's current minimum, which
-// is what makes the wheel-window advance safe: no other pending event can
-// live at an earlier tick, so jumping baseTick to the popped deadline never
-// skips anything. Unlike takeMin it performs no scan — the engine already
-// knows which lane (and node) won the argmin.
-func (c *Clock) takeKnown(id uint32) {
-	n := &c.nodes[id]
-	if n.loc == locOverflow {
-		c.heapRemove(int(n.hpos))
-		return
-	}
-	if tick := int64(n.at) >> granBits; tick > c.baseTick {
-		c.baseTick = tick
-	}
-	c.wheelRemove(id)
-}
-
 // Drain cancels every pending event, returning all live store slots to the
 // free list, and reports how many it drained. Outstanding handles go stale
 // (Cancel on them reports false). Time, sequence and dispatch counters are
 // untouched — Drain bounds the store, not the clock's identity.
-//
-//simlint:phase init
 func (c *Clock) Drain() int {
 	drained := 0
 	for i := 1; i < len(c.nodes); i++ {
@@ -492,11 +372,8 @@ func (c *Clock) Drain() int {
 
 // Reset drains the queue and rewinds the clock to its initial state: time
 // zero, fresh sequence and dispatch counters, no observer. The pooled node
-// store (and its high-water capacity) is kept, which is the point — a
-// sharded engine recycles per-lane clocks across runs without reallocating
-// their slabs.
-//
-//simlint:phase init
+// store (and its high-water capacity) is kept, so a reused clock does not
+// reallocate its slab.
 func (c *Clock) Reset() {
 	c.Drain()
 	c.now = 0
@@ -504,15 +381,12 @@ func (c *Clock) Reset() {
 	c.nEvent = 0
 	c.baseTick = 0
 	c.observer = nil
-	c.opsScan = 0
-	c.opsCmp = 0
 }
 
 // scan finds the first occupied wheel slot at or after the window base,
 // returning the slot index and its distance in ticks from baseTick. Must
 // only be called with nWheel > 0.
 func (c *Clock) scan() (slot uint32, dist int) {
-	c.opsScan++
 	start := uint32(c.baseTick) & wheelMask
 	w := start >> 6
 	word := c.bitmap[w] >> (start & 63) << (start & 63) // drop bits below start

@@ -286,83 +286,227 @@ func TestQuickOrdering(t *testing.T) {
 	}
 }
 
-// Differential property test: on randomized workloads of At/After/Cancel —
-// including chained reschedules from inside callbacks, deadlines spanning
-// wheel and overflow, and dense ties — the timer-wheel Clock dispatches the
-// exact same event sequence as the reference binary-heap HeapClock.
-func TestQuickWheelMatchesHeap(t *testing.T) {
-	f := func(seed int64) bool {
-		run := func(sched func(at Time, fn func()) func() bool, step func() bool, now func() Time) []int64 {
-			r := rand.New(rand.NewSource(seed))
-			var order []int64
-			var cancels []func() bool
-			id := int64(0)
-			randomAt := func() Time {
-				switch r.Intn(4) {
-				case 0: // dense near-future ties
-					return now() + Time(r.Intn(4)*64)
-				case 1: // wheel range
-					return now() + Time(r.Intn(200_000))
-				case 2: // overflow range
-					return now() + Time(200_000+r.Intn(2_000_000))
-				default: // far overflow
-					return now() + Time(r.Intn(50))*Millisecond
-				}
-			}
-			var fire func(myID int64, depth int) func()
-			fire = func(myID int64, depth int) func() {
-				return func() {
-					order = append(order, myID)
-					if depth < 3 && r.Intn(2) == 0 {
-						// Reschedule from inside a callback.
-						id++
-						cancels = append(cancels, sched(randomAt(), fire(id, depth+1)))
-					}
-					if len(cancels) > 0 && r.Intn(3) == 0 {
-						cancels[r.Intn(len(cancels))]()
-					}
-				}
-			}
-			for i := 0; i < 40; i++ {
-				id++
-				cancels = append(cancels, sched(randomAt(), fire(id, 0)))
-			}
-			for i := 0; i < 8; i++ {
-				cancels[r.Intn(len(cancels))]()
-			}
-			steps := 0
-			for step() && steps < 500 {
-				steps++
-			}
-			return order
+// FuzzClockMatchesHeap is the differential test of the timer-wheel Clock
+// against the reference binary-heap HeapClock. The input is an operation
+// program — schedules spanning dense ties, the wheel window and the
+// overflow heap; cancels; Step; Run to a horizon; RunUntil a dispatch
+// count — and callbacks read the same program to reschedule and cancel
+// from inside dispatch. Both clocks must fire the same events in the same
+// order and agree on every Run/RunUntil/Cancel result, the final time and
+// the pending count. The seed corpus lives in testdata/fuzz.
+func FuzzClockMatchesHeap(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 0, 0, 1, 0, 0, 2, 0, 0, 3, 2, 4, 1, 5, 3, 3})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		wheel, heap := wheelOps(), heapOps()
+		wantLog := replayProgram(heap, prog)
+		gotLog := replayProgram(wheel, prog)
+		if len(gotLog) != len(wantLog) {
+			t.Fatalf("wheel logged %d entries, heap %d\nwheel %v\nheap  %v",
+				len(gotLog), len(wantLog), gotLog, wantLog)
 		}
-
-		wc := NewClock()
-		wheelOrder := run(func(at Time, fn func()) func() bool {
-			e := wc.At(at, fn)
-			return func() bool { return wc.Cancel(e) }
-		}, wc.Step, wc.Now)
-
-		hc := NewHeapClock()
-		heapOrder := run(func(at Time, fn func()) func() bool {
-			e := hc.At(at, fn)
-			return func() bool { return hc.Cancel(e) }
-		}, hc.Step, hc.Now)
-
-		if len(wheelOrder) != len(heapOrder) {
-			t.Logf("seed %d: wheel fired %d, heap fired %d", seed, len(wheelOrder), len(heapOrder))
-			return false
-		}
-		for i := range wheelOrder {
-			if wheelOrder[i] != heapOrder[i] {
-				t.Logf("seed %d: divergence at %d: wheel=%d heap=%d", seed, i, wheelOrder[i], heapOrder[i])
-				return false
+		for i := range wantLog {
+			if gotLog[i] != wantLog[i] {
+				t.Fatalf("divergence at entry %d: wheel=%d heap=%d\nwheel %v\nheap  %v",
+					i, gotLog[i], wantLog[i], gotLog, wantLog)
 			}
 		}
-		return wc.Dispatched() == hc.Dispatched()
+	})
+}
+
+// clockOps adapts Clock and HeapClock to one surface so replayProgram
+// drives both through identical operation sequences.
+type clockOps struct {
+	now        func() Time
+	at         func(Time, func()) func() bool // returns the event's canceller
+	step       func() bool
+	run        func(Time) Time
+	runUntil   func(Time, func() bool) bool
+	dispatched func() uint64
+	pending    func() int
+}
+
+func wheelOps() clockOps {
+	c := NewClock()
+	return clockOps{
+		now: c.Now,
+		at: func(at Time, fn func()) func() bool {
+			e := c.At(at, fn)
+			return func() bool { return c.Cancel(e) }
+		},
+		step: c.Step, run: c.Run, runUntil: c.RunUntil,
+		dispatched: c.Dispatched, pending: c.Pending,
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+}
+
+func heapOps() clockOps {
+	c := NewHeapClock()
+	return clockOps{
+		now: c.Now,
+		at: func(at Time, fn func()) func() bool {
+			e := c.At(at, fn)
+			return func() bool { return c.Cancel(e) }
+		},
+		step: c.Step, run: c.Run, runUntil: c.RunUntil,
+		dispatched: c.Dispatched, pending: c.Pending,
+	}
+}
+
+// replayProgram interprets prog against one clock and returns its log:
+// fired event IDs (positive) interleaved with operation results (encoded
+// non-positive), closed by the final time, dispatch and pending counts.
+// Reschedule depth is capped, so every program terminates.
+func replayProgram(c clockOps, prog []byte) []int64 {
+	pc := 0
+	next := func() byte {
+		if pc >= len(prog) {
+			return 0
+		}
+		b := prog[pc]
+		pc++
+		return b
+	}
+	// offset draws a delay from one of four regimes: dense 64 ns ties,
+	// the wheel window, just past it (overflow), and far overflow.
+	offset := func() Time {
+		class, hi, lo := next(), next(), next()
+		v := Time(hi)<<8 | Time(lo)
+		switch class % 4 {
+		case 0:
+			return Time(lo%4) * 64
+		case 1:
+			return v * 3
+		case 2:
+			return 200_000 + v*30
+		default:
+			return Time(hi%50) * Millisecond
+		}
+	}
+	var log []int64
+	var cancels []func() bool
+	id := int64(0)
+	var schedule func(depth int)
+	schedule = func(depth int) {
+		id++
+		myID := id
+		cancels = append(cancels, c.at(c.now()+offset(), func() {
+			log = append(log, myID)
+			b := next()
+			if b&1 != 0 && depth < 3 {
+				schedule(depth + 1)
+			}
+			if b&2 != 0 && len(cancels) > 0 {
+				cancels[int(next())%len(cancels)]()
+			}
+		}))
+	}
+	flag := func(ok bool) int64 {
+		if ok {
+			return -1
+		}
+		return 0
+	}
+	for pc < len(prog) {
+		switch next() % 5 {
+		case 0:
+			schedule(0)
+		case 1:
+			if len(cancels) > 0 {
+				log = append(log, flag(cancels[int(next())%len(cancels)]()))
+			}
+		case 2:
+			log = append(log, flag(c.step()))
+		case 3:
+			log = append(log, -int64(c.run(c.now()+offset())))
+		case 4:
+			target := c.dispatched() + uint64(next()%16)
+			horizon := c.now() + offset()
+			log = append(log, flag(c.runUntil(horizon, func() bool {
+				return c.dispatched() >= target
+			})), -int64(c.now()))
+		}
+	}
+	for c.step() {
+	}
+	return append(log, -int64(c.now()), -int64(c.dispatched()), -int64(c.pending()))
+}
+
+// Drain must return every live node — pending, mid-wheel, and overflow
+// alike — to the free list so a drained clock leaks no store slots.
+func TestClockDrainReturnsAllNodes(t *testing.T) {
+	c := NewClock()
+	var evs []Event
+	for i := 0; i < 200; i++ {
+		at := Time(i * 100)
+		if i%3 == 0 {
+			at += 100 * Millisecond // land in overflow
+		}
+		evs = append(evs, c.At(at, func() {}))
+	}
+	for i := 0; i < 50; i++ {
+		c.Cancel(evs[i*4])
+	}
+	for i := 0; i < 30; i++ {
+		c.Step()
+	}
+	live := c.Pending()
+	if live == 0 {
+		t.Fatal("test needs pending events to drain")
+	}
+	if got := c.Drain(); got != live {
+		t.Fatalf("Drain() = %d, want %d", got, live)
+	}
+	if c.Pending() != 0 {
+		t.Fatalf("Pending() = %d after Drain", c.Pending())
+	}
+	if c.StoreFree() != c.StoreSize() {
+		t.Fatalf("store leak: StoreFree %d != StoreSize %d after Drain",
+			c.StoreFree(), c.StoreSize())
+	}
+	// Stale handles from before the drain must be inert.
+	for _, ev := range evs {
+		if c.Cancel(ev) {
+			t.Fatal("stale pre-drain handle cancelled something")
+		}
+	}
+}
+
+// Reset must rewind a clock for reuse while keeping its pooled slab, and a
+// reset clock must replay a workload bit-identically to a fresh one.
+func TestClockResetReplaysFresh(t *testing.T) {
+	workload := func(c *Clock) []Time {
+		var fired []Time
+		for i := 0; i < 64; i++ {
+			c.At(Time(i*37%640), func() { fired = append(fired, c.Now()) })
+		}
+		for c.Step() {
+		}
+		return fired
+	}
+	fresh := NewClock()
+	want := workload(fresh)
+
+	used := NewClock()
+	for i := 0; i < 100; i++ {
+		used.At(Time(i)*Millisecond, func() {})
+	}
+	for i := 0; i < 40; i++ {
+		used.Step()
+	}
+	used.Reset()
+	if used.StoreFree() != used.StoreSize() {
+		t.Fatalf("store leak after Reset: free %d size %d", used.StoreFree(), used.StoreSize())
+	}
+	if used.Now() != 0 || used.Dispatched() != 0 {
+		t.Fatalf("Reset left now=%v dispatched=%d", used.Now(), used.Dispatched())
+	}
+	got := workload(used)
+	if len(got) != len(want) {
+		t.Fatalf("reset clock fired %d, fresh fired %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("divergence at %d: reset=%v fresh=%v", i, got[i], want[i])
+		}
 	}
 }
 

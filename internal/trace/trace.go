@@ -151,9 +151,9 @@ func (e Event) String() string {
 }
 
 // Ring is a bounded event recorder. The zero value is unusable; use New.
-// The ring is coordinator-owned sim state: its hash and counters are part
-// of the determinism contract, so only serial engine phases may write it.
-// Observers attach through the declared tap surface (SetTap/AddTap/
+// The ring is owned sim state: its hash and counters are part of the
+// determinism contract, so only the simulation may write it. Observers
+// attach through the declared tap surface (SetTap/AddTap/
 // RemoveTap) and never mutate anything else.
 //
 //simlint:owner sim
@@ -201,8 +201,6 @@ func (r *Ring) RemoveTap(id int) {
 }
 
 // New creates a ring holding up to capacity events.
-//
-//simlint:phase init
 func New(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = 1 << 16
@@ -227,8 +225,6 @@ func fnvMix(h, v uint64) uint64 {
 }
 
 // Record appends an event, evicting the oldest when full.
-//
-//simlint:phase dispatch
 func (r *Ring) Record(ev Event) {
 	r.total++
 	if int(ev.Kind) < len(r.counts) {
@@ -292,8 +288,6 @@ func (r *Ring) AppendEvents(dst []Event) []Event {
 // Reset discards the retained window so the ring starts filling afresh.
 // Lifetime state — Total, Counts and the determinism Hash — is preserved:
 // Reset bounds the *memory* of a long run, not its identity.
-//
-//simlint:phase init
 func (r *Ring) Reset() {
 	r.buf = r.buf[:0]
 	r.next = 0
