@@ -78,7 +78,6 @@ func main() {
 	// every wake-to-park episode is a journey. Attach-only — the trace
 	// invariants validated below see the identical event stream.
 	ctr := causal.New(causal.Config{Episodes: true, TickPeriod: simtime.Second / 100_000})
-	ctr.Attach(tr)
 	ctr.SetDeliveryProber(engine)
 
 	lc := engine.NewApp("lc")
@@ -110,6 +109,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	// After the bus: it reads the tracer's summaries at window close, so
+	// its tap must run first.
+	ctr.Attach(tr)
 	engine.Run(simtime.Duration(dur.Nanoseconds()))
 	if sess != nil {
 		if err := sess.Close(); err != nil {

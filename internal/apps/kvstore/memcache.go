@@ -6,7 +6,11 @@
 // comes from the measured service-time distributions the paper reports.
 package kvstore
 
-import "fmt"
+import (
+	"fmt"
+
+	"skyloft/internal/det"
+)
 
 // Memcache is a sharded open-addressing string store, the light-tailed
 // workload server (USR mix: 99.8% GET / 0.2% SET).
@@ -29,17 +33,8 @@ func NewMemcache(shards int) *Memcache {
 	return m
 }
 
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 func (m *Memcache) shard(key string) map[string]string {
-	return m.shards[fnv1a(key)%uint64(len(m.shards))]
+	return m.shards[det.FNVString(det.FNVOffset, key)%uint64(len(m.shards))]
 }
 
 // Get looks a key up.

@@ -7,9 +7,12 @@
 package bench
 
 import (
+	"fmt"
+
 	"skyloft/internal/hw"
 	"skyloft/internal/loadgen"
 	"skyloft/internal/simtime"
+	"skyloft/internal/trace"
 )
 
 // Defaults shared across experiments (the paper's testbed: two 24-core
@@ -30,6 +33,15 @@ const (
 
 // newMachine builds the standard evaluation server.
 func newMachine() *hw.Machine { return hw.NewMachine(hw.DefaultConfig()) }
+
+// ringIntact fails a run whose trace ring wrapped: an analysis of its
+// retained events would silently cover only a suffix of the run.
+func ringIntact(tr *trace.Ring) error {
+	if n := tr.Dropped(); n > 0 {
+		return fmt.Errorf("trace ring wrapped: %d of %d events dropped", n, tr.Total())
+	}
+	return nil
+}
 
 func cpuList(n int) []int {
 	out := make([]int, n)

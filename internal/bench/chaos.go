@@ -158,6 +158,9 @@ func chaosRun(cfgName string, plan *faults.Plan, seed uint64, dur simtime.Durati
 		}, checker)
 	}
 	e.Run(simtime.Time(dur))
+	if err := ringIntact(tr); err != nil {
+		return nil, err
+	}
 
 	events := tr.Events()
 	wake := stats.NewHist()

@@ -52,7 +52,6 @@ func FlightProbe(name string, seed uint64, dur simtime.Duration, of *obs.Flags) 
 			Episodes:   true,
 			TickPeriod: simtime.Second / SkyloftTimerHz,
 		})
-		ctr.Attach(h.Ring)
 		sess, aerr = live.FromFlags(of, base, live.Source{
 			Clock:    h.Clock,
 			Ring:     h.Ring,
@@ -61,6 +60,7 @@ func FlightProbe(name string, seed uint64, dur simtime.Duration, of *obs.Flags) 
 			Workers:  h.Workers,
 			Causal:   ctr,
 		})
+		ctr.Attach(h.Ring) // after the bus, whose tap must run first
 		if sess != nil {
 			checker.OnViolation = func(msg string) { sess.Bus.Trigger("invariant: " + msg) }
 		}

@@ -86,7 +86,6 @@ func ObservedRunOpts(seed uint64, dur simtime.Duration, opts ObserveOpts) *Obser
 			Episodes:   true,
 			TickPeriod: simtime.Second / SkyloftTimerHz,
 		})
-		ctr.Attach(tr)
 		ctr.SetDeliveryProber(e)
 	}
 
@@ -122,6 +121,11 @@ func ObservedRunOpts(seed uint64, dur simtime.Duration, opts ObserveOpts) *Obser
 			AppNames: e.AppNames(),
 			Workers:  e.Workers(),
 		})
+	}
+	if ctr != nil {
+		// After PreRun: a live bus attached there reads the tracer's
+		// summaries at window close, so its tap must run first.
+		ctr.Attach(tr)
 	}
 	e.Run(simtime.Time(dur))
 

@@ -208,6 +208,9 @@ func oversubAntagonist(plan *faults.Plan, seed uint64, dur simtime.Duration) (*O
 		})
 	}
 	e.Run(simtime.Time(dur))
+	if err := ringIntact(tr); err != nil {
+		return nil, err
+	}
 
 	res := &OversubResult{
 		Preset: plan.Name, Seed: seed,
@@ -425,6 +428,9 @@ func oversubMultiRuntime(plan *faults.Plan, seed uint64, dur simtime.Duration) (
 	}
 	broker.start()
 	e.Run(simtime.Time(dur))
+	if err := ringIntact(tr); err != nil {
+		return nil, err
+	}
 
 	res := &OversubResult{
 		Preset: plan.Name, Seed: seed,

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"skyloft/internal/simtime"
@@ -23,6 +24,17 @@ func TestOversubGate(t *testing.T) {
 		t.Logf("%-22s grants=%d reclaims=%d coop=%d forced=%d evict=%d reclaim-p99=%.1fµs (bound %.0fµs)",
 			r.Preset, r.Grants, r.Reclaims, r.CooperativeReturns,
 			r.ForcedRevocations, r.Evictions, r.ReclaimP99Us, r.ReclaimBoundUs)
+	}
+}
+
+// TestOversubGateFailsOnWrappedRing: a run long enough to overflow its
+// 65,536-event trace ring must fail the gate instead of having its
+// findings computed over the retained suffix.
+func TestOversubGateFailsOnWrappedRing(t *testing.T) {
+	results, failures := OversubGate(1, 200*simtime.Millisecond, []string{"oversub-antagonist"})
+	if len(results) != 0 || len(failures) != 1 || !strings.Contains(failures[0], "trace ring wrapped") {
+		t.Fatalf("gate on a wrapped ring: %d results, failures %q; want one trace-ring failure",
+			len(results), failures)
 	}
 }
 

@@ -68,6 +68,9 @@ func BuildReport(seed uint64, quick bool) *BenchReport {
 		obsDur = 10 * simtime.Millisecond
 	}
 	run := ObservedRun(seed, obsDur, true)
+	if err := ringIntact(run.Ring); err != nil {
+		panic(fmt.Sprintf("bench: report's observed run: %v", err))
+	}
 	diag := doctor.Analyze(run.Events, run.Spans, doctor.Config{
 		TickPeriod: simtime.Second / SkyloftTimerHz,
 		Cores:      run.Workers,

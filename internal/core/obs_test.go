@@ -63,13 +63,12 @@ func runObsScenario(seed uint64, instrument bool) obsScenario {
 		e.RegisterMetrics(&reg)
 		prof = e.NewOccupancyProfiler(2 * simtime.Microsecond)
 		prof.Start()
-		// Episode-mode causal tracer on an extra ring tap, coexisting with
-		// the bus's primary tap and feeding exemplars into its snapshots.
+		// Episode-mode causal tracer on a ring tap after the bus's,
+		// feeding exemplars into its snapshots.
 		ctr = causal.New(causal.Config{
 			Episodes:   true,
 			TickPeriod: simtime.Second / 100_000,
 		})
-		ctr.Attach(tr)
 		ctr.SetDeliveryProber(e)
 		bus = live.Attach(live.Config{
 			Window:   500 * simtime.Microsecond,
@@ -78,6 +77,7 @@ func runObsScenario(seed uint64, instrument bool) obsScenario {
 			Clock: m.Clock, Ring: tr, Registry: &reg, Profiler: prof,
 			AppNames: e.AppNames(), Workers: e.Workers(), Causal: ctr,
 		})
+		ctr.Attach(tr)
 	}
 
 	for ai := 0; ai < 2; ai++ {

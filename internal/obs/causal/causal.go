@@ -24,7 +24,9 @@ package causal
 import (
 	"fmt"
 
+	"skyloft/internal/det"
 	"skyloft/internal/netsim"
+	"skyloft/internal/obs"
 	"skyloft/internal/simtime"
 	"skyloft/internal/trace"
 )
@@ -37,10 +39,11 @@ type DeliveryProber interface {
 	UINTRDeliveredAt(cpu int) simtime.Time
 }
 
+// ExemplarK bounds the slow-request exemplars a tracer retains.
+const ExemplarK = 8
+
 // Config parameterises a Tracer.
 type Config struct {
-	// K bounds the retained slow-request exemplars (default 8).
-	K int
 	// TickPeriod is the preemption tick period, used to split a wait behind
 	// a preempted predecessor into tick-quant (up to one period — the tick
 	// granularity itself) and preempt-delay (the remainder — delivery and
@@ -146,15 +149,6 @@ type journey struct {
 	hops []Hop
 }
 
-// coreState is the tracer's shadow of per-core occupancy, replaying the
-// doctor's classification rule: what freed a core last decides how the next
-// dispatch's wait on it is attributed.
-type coreState struct {
-	lastFreeAt   simtime.Time
-	lastFreeKind trace.Kind
-	everOccupied bool
-}
-
 // Tracer assembles request journeys from the trace-ring tap and the
 // datapath callbacks. Not safe for concurrent use; the event core executes
 // all callbacks serially.
@@ -173,28 +167,25 @@ type Tracer struct {
 	byDirect map[uint64]*journey // loadgen injection seq -> journey
 	byTask   map[int]*journey    // bound journeys by thread ID
 	onCPU    map[int]bool        // tasks currently dispatched
-	cores    map[int]*coreState
+	cores    obs.CoreReleases
 
 	top []*Exemplar // sorted: worst sojourn first, ID ascending on ties
 }
 
 // New creates a tracer.
 func New(cfg Config) *Tracer {
-	if cfg.K <= 0 {
-		cfg.K = 8
-	}
 	return &Tracer{
 		cfg:      cfg,
 		bySeq:    make(map[uint64]*journey),
 		byDirect: make(map[uint64]*journey),
 		byTask:   make(map[int]*journey),
 		onCPU:    make(map[int]bool),
-		cores:    make(map[int]*coreState),
 	}
 }
 
-// Attach installs the tracer as an extra tap on r (coexisting with the live
-// bus's primary tap). Detach removes it.
+// Attach installs the tracer as a tap on r. A live bus that reads the
+// tracer's summaries must attach to r first, so its tap runs before the
+// tracer's. Detach removes the tap.
 func (t *Tracer) Attach(r *trace.Ring) {
 	if t.ring != nil {
 		panic("causal: tracer already attached")
@@ -230,15 +221,6 @@ func (t *Tracer) Coverage() float64 {
 		return 0
 	}
 	return float64(t.completed) / float64(t.started)
-}
-
-func (t *Tracer) core(cpu int) *coreState {
-	cs := t.cores[cpu]
-	if cs == nil {
-		cs = &coreState{}
-		t.cores[cpu] = cs
-	}
-	return cs
 }
 
 // --- netsim.Observer: the NIC arrival / delivery path ---
@@ -341,15 +323,13 @@ func (t *Tracer) bind(j *journey, task int, at simtime.Time) {
 func (t *Tracer) OnEvent(ev trace.Event) {
 	switch ev.Kind {
 	case trace.Dispatch:
-		cs := t.core(ev.CPU)
 		if j := t.byTask[ev.Task]; j != nil && !j.running {
-			t.onDispatch(j, ev, cs)
+			t.onDispatch(j, ev)
 		}
-		cs.everOccupied = true
+		t.cores.Observe(ev)
 		t.onCPU[ev.Task] = true
 	case trace.Preempt, trace.Yield, trace.Block, trace.Sleep, trace.Exit:
-		cs := t.core(ev.CPU)
-		cs.lastFreeAt, cs.lastFreeKind = ev.At, ev.Kind
+		t.cores.Observe(ev)
 		delete(t.onCPU, ev.Task)
 		if j := t.byTask[ev.Task]; j != nil {
 			t.offCPU(j, ev)
@@ -359,32 +339,17 @@ func (t *Tracer) OnEvent(ev trace.Event) {
 	}
 }
 
-// onDispatch classifies the wait [readySince, dispatch) with the doctor's
-// occupancy-replay rule — what freed the core last decides the class — and
+// onDispatch classifies the wait [readySince, dispatch) with
+// obs.CoreReleases — what freed the core last decides the class — and
 // opens a new hop.
-func (t *Tracer) onDispatch(j *journey, ev trace.Event, cs *coreState) {
+func (t *Tracer) onDispatch(j *journey, ev trace.Event) {
 	j.app = ev.App
 	w, d := j.readySince, ev.At
-	hop := Hop{CPU: ev.CPU, At: d, Wait: d - w}
-	if !cs.everOccupied || cs.lastFreeAt <= w {
-		// The core was already free when the task became ready: the whole
-		// wait is wakeup/dispatch delivery latency.
-		hop.Delivery = d - w
-	} else {
-		wait := cs.lastFreeAt - w
-		hop.Delivery = d - cs.lastFreeAt
-		if cs.lastFreeKind == trace.Preempt {
-			tq := wait
-			if t.cfg.TickPeriod <= 0 {
-				tq = 0
-			} else if tq > t.cfg.TickPeriod {
-				tq = t.cfg.TickPeriod
-			}
-			hop.TickQuant = tq
-			hop.PreemptDelay = wait - tq
-		} else {
-			hop.Queue = wait
-		}
+	split := t.cores.ClassifyWait(ev.CPU, w, d, t.cfg.TickPeriod)
+	hop := Hop{
+		CPU: ev.CPU, At: d, Wait: d - w,
+		Queue: split.Queue, TickQuant: split.TickQuant,
+		PreemptDelay: split.PreemptDelay, Delivery: split.Delivery,
 	}
 	if t.prober != nil {
 		if ua := t.prober.UINTRDeliveredAt(ev.CPU); ua >= w && ua <= d {
@@ -512,7 +477,7 @@ func worse(aSojourn simtime.Duration, aID uint64, bSojourn simtime.Duration, bID
 
 // offer inserts the finished journey into the top-K if it qualifies.
 func (t *Tracer) offer(j *journey, sojourn simtime.Duration) {
-	if len(t.top) == t.cfg.K {
+	if len(t.top) == ExemplarK {
 		last := t.top[len(t.top)-1]
 		if !worse(sojourn, j.id, last.Sojourn, last.ID) {
 			return
@@ -532,9 +497,9 @@ func (t *Tracer) offer(j *journey, sojourn simtime.Duration) {
 		i--
 	}
 	t.top[i] = ex
-	if len(t.top) > t.cfg.K {
+	if len(t.top) > ExemplarK {
 		t.top[len(t.top)-1] = nil
-		t.top = t.top[:t.cfg.K]
+		t.top = t.top[:ExemplarK]
 	}
 }
 
@@ -559,65 +524,42 @@ func (t *Tracer) Summaries() []Summary {
 	return out
 }
 
-// FNV-1a, the same digest discipline the trace ring and live bus use.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func mix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xFF
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
-}
-
-func mixString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
-// Hash digests the tracer's observable state — journey counts plus every
-// retained exemplar, hops included. Two runs traced the same requests the
+// Hash digests the tracer's observable state with FNV-1a — journey counts
+// plus every retained exemplar, hops included. Two runs traced the same requests the
 // same way iff their hashes match: the replay differential's witness.
 func (t *Tracer) Hash() uint64 {
-	h := mix(fnvOffset, t.started)
-	h = mix(h, t.completed)
-	h = mix(h, t.abandoned)
-	h = mix(h, uint64(len(t.top)))
+	h := det.FNVMix(det.FNVOffset, t.started)
+	h = det.FNVMix(h, t.completed)
+	h = det.FNVMix(h, t.abandoned)
+	h = det.FNVMix(h, uint64(len(t.top)))
 	for _, ex := range t.top {
-		h = mix(h, ex.ID)
-		h = mixString(h, ex.Kind)
-		h = mix(h, uint64(int64(ex.Task)))
-		h = mix(h, uint64(int64(ex.App)))
-		h = mix(h, uint64(int64(ex.Class)))
-		h = mix(h, ex.Flow)
-		h = mix(h, uint64(int64(ex.Ring)))
-		h = mix(h, uint64(ex.Arrive))
-		h = mix(h, uint64(ex.Sojourn))
-		h = mix(h, uint64(ex.Demand))
-		h = mix(h, uint64(ex.Breakdown.Queue))
-		h = mix(h, uint64(ex.Breakdown.TickQuant))
-		h = mix(h, uint64(ex.Breakdown.PreemptDelay))
-		h = mix(h, uint64(ex.Breakdown.Delivery))
-		h = mix(h, uint64(ex.Breakdown.Service))
-		h = mix(h, uint64(len(ex.Hops)))
+		h = det.FNVMix(h, ex.ID)
+		h = det.FNVString(h, ex.Kind)
+		h = det.FNVMix(h, uint64(int64(ex.Task)))
+		h = det.FNVMix(h, uint64(int64(ex.App)))
+		h = det.FNVMix(h, uint64(int64(ex.Class)))
+		h = det.FNVMix(h, ex.Flow)
+		h = det.FNVMix(h, uint64(int64(ex.Ring)))
+		h = det.FNVMix(h, uint64(ex.Arrive))
+		h = det.FNVMix(h, uint64(ex.Sojourn))
+		h = det.FNVMix(h, uint64(ex.Demand))
+		h = det.FNVMix(h, uint64(ex.Breakdown.Queue))
+		h = det.FNVMix(h, uint64(ex.Breakdown.TickQuant))
+		h = det.FNVMix(h, uint64(ex.Breakdown.PreemptDelay))
+		h = det.FNVMix(h, uint64(ex.Breakdown.Delivery))
+		h = det.FNVMix(h, uint64(ex.Breakdown.Service))
+		h = det.FNVMix(h, uint64(len(ex.Hops)))
 		for _, hop := range ex.Hops {
-			h = mix(h, uint64(int64(hop.CPU)))
-			h = mix(h, uint64(hop.At))
-			h = mix(h, uint64(hop.Wait))
-			h = mix(h, uint64(hop.Queue))
-			h = mix(h, uint64(hop.TickQuant))
-			h = mix(h, uint64(hop.PreemptDelay))
-			h = mix(h, uint64(hop.Delivery))
-			h = mix(h, uint64(hop.Run))
-			h = mixString(h, hop.End)
-			h = mix(h, uint64(hop.UintrAt))
+			h = det.FNVMix(h, uint64(int64(hop.CPU)))
+			h = det.FNVMix(h, uint64(hop.At))
+			h = det.FNVMix(h, uint64(hop.Wait))
+			h = det.FNVMix(h, uint64(hop.Queue))
+			h = det.FNVMix(h, uint64(hop.TickQuant))
+			h = det.FNVMix(h, uint64(hop.PreemptDelay))
+			h = det.FNVMix(h, uint64(hop.Delivery))
+			h = det.FNVMix(h, uint64(hop.Run))
+			h = det.FNVString(h, hop.End)
+			h = det.FNVMix(h, uint64(hop.UintrAt))
 		}
 	}
 	return h

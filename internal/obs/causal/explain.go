@@ -31,7 +31,7 @@ type Document struct {
 // Document snapshots the tracer.
 func (t *Tracer) Document() Document {
 	return Document{
-		K: t.cfg.K, Episodes: t.cfg.Episodes, TickPeriod: t.cfg.TickPeriod,
+		K: ExemplarK, Episodes: t.cfg.Episodes, TickPeriod: t.cfg.TickPeriod,
 		Started: t.started, Completed: t.completed, Abandoned: t.abandoned,
 		Exemplars: t.Exemplars(),
 	}

@@ -73,8 +73,9 @@ func detect(events []trace.Event, spans *obs.SpanSet, wake *stats.Hist, windows 
 	if f, ok := detectFaultCorrelation(events, windows); ok {
 		out = append(out, f)
 	}
-	out = append(out, detectLeaseStarvation(events, cfg)...)
-	out = append(out, detectLeaseThrash(events, cfg)...)
+	holds := buildLeaseHolds(events)
+	out = append(out, detectLeaseStarvation(holds)...)
+	out = append(out, detectLeaseThrash(holds)...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Code != out[j].Code {
 			return out[i].Code < out[j].Code
@@ -84,8 +85,8 @@ func detect(events []trace.Event, spans *obs.SpanSet, wake *stats.Hist, windows 
 	return out
 }
 
-// detectWorkConservation replays the event stream tracking the
-// reconstructed runqueue depth and per-core occupancy, and accumulates
+// detectWorkConservation replays the event stream tracking the runqueue
+// depth WindowFold reconstructs and per-core occupancy, and accumulates
 // maximal intervals during which work was queued while at least one core
 // sat idle. Intervals shorter than the threshold are dispatch paths in
 // flight, not violations.
@@ -95,7 +96,7 @@ func detectWorkConservation(events []trace.Event, cfg Config) (Finding, bool) {
 	}
 	busy := make([]bool, cfg.Cores)
 	idleCores := cfg.Cores
-	depth := 0
+	var fold WindowFold // one endless window: only its runqueue depth is read
 
 	var (
 		violStart    simtime.Time
@@ -110,7 +111,7 @@ func detectWorkConservation(events []trace.Event, cfg Config) (Finding, bool) {
 		}
 		inViol = false
 		d := simtime.Duration(now - violStart)
-		if d < cfg.IdleWasteThreshold {
+		if d < idleWasteThreshold {
 			return
 		}
 		if count == 0 {
@@ -125,27 +126,20 @@ func detectWorkConservation(events []trace.Event, cfg Config) (Finding, bool) {
 	for _, ev := range events {
 		// State is piecewise constant between events: apply the event,
 		// then open or close a violation interval on the new state.
+		fold.Add(ev)
 		switch ev.Kind {
 		case trace.Dispatch:
-			if depth > 0 {
-				depth--
-			}
 			if ev.CPU >= 0 && ev.CPU < cfg.Cores && !busy[ev.CPU] {
 				busy[ev.CPU] = true
 				idleCores--
 			}
-		case trace.Wake:
-			depth++
-		case trace.Preempt, trace.Yield:
-			depth++
-			fallthrough
-		case trace.Block, trace.Sleep, trace.Exit:
+		case trace.Preempt, trace.Yield, trace.Block, trace.Sleep, trace.Exit:
 			if ev.CPU >= 0 && ev.CPU < cfg.Cores && busy[ev.CPU] {
 				busy[ev.CPU] = false
 				idleCores++
 			}
 		}
-		violating := depth > 0 && idleCores > 0
+		violating := fold.depth > 0 && idleCores > 0
 		switch {
 		case violating && !inViol:
 			inViol = true
@@ -165,50 +159,87 @@ func detectWorkConservation(events []trace.Event, cfg Config) (Finding, bool) {
 		Count:   count,
 		Value:   float64(worst),
 		Evidence: fmt.Sprintf("%d intervals with idle cores while the runqueue was non-empty (>= %v each); worst %v, total %v",
-			count, cfg.IdleWasteThreshold, worst, total),
+			count, idleWasteThreshold, worst, total),
 	}, true
 }
 
-// detectStarvation flags applications whose spans waited runnable beyond
-// the starvation threshold before their first dispatch.
-func detectStarvation(spans *obs.SpanSet, cfg Config) []Finding {
-	type starv struct {
-		count   uint64
-		firstAt simtime.Time
-		worst   simtime.Duration
+// DefaultStarvation is the starvation threshold of the doctor and the live
+// bus when none is configured: 10 ms, far beyond every µs-scale scheduler
+// here.
+const DefaultStarvation = 10 * simtime.Millisecond
+
+// Starvation is the starvation rule: a wakeup whose wait for dispatch
+// reaches Threshold starves. It accumulates the evidence per application —
+// how many wakeups starved, the wake instant of the first one observed, and
+// the worst wait. The zero value with Threshold set is ready to use.
+type Starvation struct {
+	Threshold simtime.Duration
+	byApp     map[int]*starved
+}
+
+type starved struct {
+	count   uint64
+	firstAt simtime.Time
+	worst   simtime.Duration
+}
+
+// Starves reports whether a wakeup that waited wait starved.
+func (s *Starvation) Starves(wait simtime.Duration) bool { return wait >= s.Threshold }
+
+// Observe applies the rule to one wakeup of app at wake that waited wait.
+func (s *Starvation) Observe(app int, wake simtime.Time, wait simtime.Duration) {
+	if !s.Starves(wait) {
+		return
 	}
-	byApp := map[int]*starv{}
-	for _, s := range spans.Spans {
-		if !s.WakeKnown || s.WakeLatency() < cfg.StarvationThreshold {
-			continue
-		}
-		st := byApp[s.App]
-		if st == nil {
-			st = &starv{firstAt: s.Wake}
-			byApp[s.App] = st
-		}
-		st.count++
-		if s.Wake < st.firstAt {
-			st.firstAt = s.Wake
-		}
-		if s.WakeLatency() > st.worst {
-			st.worst = s.WakeLatency()
-		}
+	if s.byApp == nil {
+		s.byApp = map[int]*starved{}
 	}
+	st := s.byApp[app]
+	if st == nil {
+		st = &starved{firstAt: wake}
+		s.byApp[app] = st
+	}
+	st.count++
+	st.worst = max(st.worst, wait)
+}
+
+// Flush returns one finding per starving application, in app order, and
+// clears the evidence. evidence is the finding's Evidence format; it takes
+// the starved count, the threshold and the worst wait.
+func (s *Starvation) Flush(evidence string) []Finding {
 	var out []Finding
-	for _, app := range det.SortedKeys(byApp) {
-		st := byApp[app]
+	for _, app := range det.SortedKeys(s.byApp) {
+		st := s.byApp[app]
 		out = append(out, Finding{
-			Code:    CodeStarvation,
-			App:     app,
-			FirstAt: st.firstAt,
-			Count:   st.count,
-			Value:   float64(st.worst),
-			Evidence: fmt.Sprintf("%d wakeups waited >= %v for their first dispatch; worst %v",
-				st.count, cfg.StarvationThreshold, st.worst),
+			Code:     CodeStarvation,
+			App:      app,
+			FirstAt:  st.firstAt,
+			Count:    st.count,
+			Value:    float64(st.worst),
+			Evidence: fmt.Sprintf(evidence, st.count, s.Threshold, st.worst),
 		})
 	}
+	clear(s.byApp)
 	return out
+}
+
+// detectStarvation flags applications whose spans waited runnable beyond
+// the starvation threshold before their first dispatch. Spans arrive in
+// close order, so the starving ones are observed in wake order to anchor
+// each finding at its earliest starved wakeup.
+func detectStarvation(spans *obs.SpanSet, cfg Config) []Finding {
+	st := Starvation{Threshold: cfg.StarvationThreshold}
+	var starving []*obs.Span
+	for i := range spans.Spans {
+		if s := &spans.Spans[i]; s.WakeKnown && st.Starves(s.WakeLatency()) {
+			starving = append(starving, s)
+		}
+	}
+	sort.SliceStable(starving, func(i, j int) bool { return starving[i].Wake < starving[j].Wake })
+	for _, s := range starving {
+		st.Observe(s.App, s.Wake, s.WakeLatency())
+	}
+	return st.Flush("%d wakeups waited >= %v for their first dispatch; worst %v")
 }
 
 // detectImbalance accumulates per-core busy time from the event stream and
@@ -265,7 +296,7 @@ func detectImbalance(events []trace.Event, cfg Config) (Finding, bool) {
 	// Require non-trivial load: an almost-idle machine is trivially
 	// "imbalanced" by its single busy core.
 	meanShare := float64(totalBusy) / float64(span) / float64(cfg.Cores)
-	if spread < cfg.ImbalanceThreshold || meanShare < 0.1 {
+	if spread < imbalanceThreshold || meanShare < 0.1 {
 		return Finding{}, false
 	}
 	return Finding{
@@ -463,15 +494,14 @@ func buildLeaseHolds(events []trace.Event) map[int]*leaseHolds {
 
 // detectLeaseStarvation flags borrowers that went without any lent core
 // beyond the threshold between (or after) their leases.
-func detectLeaseStarvation(events []trace.Event, cfg Config) []Finding {
-	byApp := buildLeaseHolds(events)
+func detectLeaseStarvation(byApp map[int]*leaseHolds) []Finding {
 	var out []Finding
 	for _, app := range det.SortedKeys(byApp) {
 		h := byApp[app]
 		var count uint64
 		var worst simtime.Duration
 		for _, g := range h.gaps {
-			if g < cfg.LeaseStarvationThreshold {
+			if g < leaseStarvationThreshold {
 				continue
 			}
 			count++
@@ -489,36 +519,34 @@ func detectLeaseStarvation(events []trace.Event, cfg Config) []Finding {
 			Count:   count,
 			Value:   float64(worst),
 			Evidence: fmt.Sprintf("%d core-less gaps >= %v between leases; worst %v",
-				count, cfg.LeaseStarvationThreshold, worst),
+				count, leaseStarvationThreshold, worst),
 		})
 	}
 	return out
 }
 
 // detectLeaseThrash flags borrowers whose leases keep getting reclaimed
-// almost immediately: at least LeaseThrashCount holds shorter than
-// LeaseThrashHold means the grant/reclaim loop is oscillating and the
+// almost immediately: at least leaseThrashCount holds shorter than
+// leaseThrashHold means the grant/reclaim loop is oscillating and the
 // borrower pays switch costs for no useful core time.
-func detectLeaseThrash(events []trace.Event, cfg Config) []Finding {
-	byApp := buildLeaseHolds(events)
+func detectLeaseThrash(byApp map[int]*leaseHolds) []Finding {
 	var out []Finding
 	for _, app := range det.SortedKeys(byApp) {
 		h := byApp[app]
 		var short uint64
 		var firstAt simtime.Time
-		for i, d := range h.holds {
-			if d >= cfg.LeaseThrashHold {
+		for _, d := range h.holds {
+			if d >= leaseThrashHold {
 				continue
 			}
 			if short == 0 {
-				// The i-th completed hold opened at some grant; firstGrant
-				// is close enough for a report anchor.
+				// The first short hold opened at some grant; firstGrant is
+				// close enough for a report anchor.
 				firstAt = h.firstGrant
-				_ = i
 			}
 			short++
 		}
-		if short < cfg.LeaseThrashCount {
+		if short < leaseThrashCount {
 			continue
 		}
 		out = append(out, Finding{
@@ -528,7 +556,7 @@ func detectLeaseThrash(events []trace.Event, cfg Config) []Finding {
 			Count:   short,
 			Value:   float64(short) / float64(len(h.holds)),
 			Evidence: fmt.Sprintf("%d of %d leases held < %v before reclaim",
-				short, len(h.holds), cfg.LeaseThrashHold),
+				short, len(h.holds), leaseThrashHold),
 		})
 	}
 	return out

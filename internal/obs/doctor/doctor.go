@@ -24,10 +24,10 @@ import (
 
 // ReportVersion identifies the doctor's JSON schema; bump on any
 // incompatible change so benchdiff can refuse cross-version comparisons.
-const ReportVersion = 1
+const ReportVersion = 2
 
-// Config tunes the analysis. The zero value is usable: every threshold
-// defaults to a value documented on its field.
+// Config tunes the analysis. The zero value is usable: every field
+// defaults to a value documented on it.
 type Config struct {
 	// Window is the windowed-telemetry width in virtual time (default
 	// 1 ms). When the trace spans more than maxWindows windows the width
@@ -39,46 +39,39 @@ type Config struct {
 	// TickPeriod is the scheduler's preemption-tick period when known
 	// (Skyloft: 1s/TimerHz). It splits busy-waits that end in a preemption
 	// into tick quantisation (≤ one period) and residual preemption delay.
-	// 0 = unknown; the whole wait is then preemption delay.
+	// <= 0 = unknown; the whole wait is then preemption delay.
 	TickPeriod simtime.Duration `json:"tick_period_ns"`
 	// StarvationThreshold flags any span whose wakeup latency reaches it
-	// (default 10 ms — far beyond every µs-scale scheduler here).
+	// (default DefaultStarvation).
 	StarvationThreshold simtime.Duration `json:"starvation_threshold_ns"`
-	// IdleWasteThreshold is the minimum contiguous duration of "a core is
-	// idle while the runqueue is non-empty" that counts as a
-	// work-conservation violation (default 50 µs: longer than any
-	// dispatch-path cost, so in-flight switches don't false-positive).
-	IdleWasteThreshold simtime.Duration `json:"idle_waste_threshold_ns"`
-	// ImbalanceThreshold is the busy-share spread (max core − min core)
-	// that counts as cross-core imbalance (default 0.4).
-	ImbalanceThreshold float64 `json:"imbalance_threshold"`
 	// Cores is the worker-core count. 0 = infer from the event stream
 	// (max CPU index seen + 1).
 	Cores int `json:"cores"`
-	// LeaseStarvationThreshold flags a borrower that went without any lent
-	// core for at least this long between (or after) its leases (default
-	// 1 ms). Only meaningful on traces carrying lease events.
-	LeaseStarvationThreshold simtime.Duration `json:"lease_starvation_threshold_ns"`
-	// LeaseThrashHold is the hold duration below which a completed lease
-	// counts as thrash — reclaimed before the borrower got useful core time
-	// (default 30 µs, ≈ the cost of the grant/revoke switch pair).
-	LeaseThrashHold simtime.Duration `json:"lease_thrash_hold_ns"`
-	// LeaseThrashCount is how many sub-LeaseThrashHold holds a borrower
-	// must accumulate before the thrash finding fires (default 8).
-	LeaseThrashCount uint64 `json:"lease_thrash_count"`
 }
 
 const (
 	defaultWindow       = simtime.Millisecond
 	defaultTailQuantile = 0.99
-	defaultStarvation   = 10 * simtime.Millisecond
-	defaultIdleWaste    = 50 * simtime.Microsecond
-	defaultImbalance    = 0.4
 	maxWindows          = 1024
 
-	defaultLeaseStarvation  = simtime.Millisecond
-	defaultLeaseThrashHold  = 30 * simtime.Microsecond
-	defaultLeaseThrashCount = 8
+	// idleWasteThreshold is the minimum contiguous duration of "a core is
+	// idle while the runqueue is non-empty" that counts as a
+	// work-conservation violation: longer than any dispatch-path cost, so
+	// in-flight switches don't false-positive.
+	idleWasteThreshold = 50 * simtime.Microsecond
+	// imbalanceThreshold is the busy-share spread (max core − min core)
+	// that counts as cross-core imbalance.
+	imbalanceThreshold = 0.4
+	// leaseStarvationThreshold flags a borrower that went without any lent
+	// core for at least this long between (or after) its leases.
+	leaseStarvationThreshold = simtime.Millisecond
+	// leaseThrashHold is the hold duration below which a completed lease
+	// counts as thrash — reclaimed before the borrower got useful core time
+	// (≈ the cost of the grant/revoke switch pair).
+	leaseThrashHold = 30 * simtime.Microsecond
+	// leaseThrashCount is how many sub-leaseThrashHold holds a borrower
+	// must accumulate before the thrash finding fires.
+	leaseThrashCount = 8
 )
 
 func (c Config) withDefaults() Config {
@@ -89,22 +82,7 @@ func (c Config) withDefaults() Config {
 		c.TailQuantile = defaultTailQuantile
 	}
 	if c.StarvationThreshold <= 0 {
-		c.StarvationThreshold = defaultStarvation
-	}
-	if c.IdleWasteThreshold <= 0 {
-		c.IdleWasteThreshold = defaultIdleWaste
-	}
-	if c.ImbalanceThreshold <= 0 {
-		c.ImbalanceThreshold = defaultImbalance
-	}
-	if c.LeaseStarvationThreshold <= 0 {
-		c.LeaseStarvationThreshold = defaultLeaseStarvation
-	}
-	if c.LeaseThrashHold <= 0 {
-		c.LeaseThrashHold = defaultLeaseThrashHold
-	}
-	if c.LeaseThrashCount == 0 {
-		c.LeaseThrashCount = defaultLeaseThrashCount
+		c.StarvationThreshold = DefaultStarvation
 	}
 	return c
 }

@@ -2,6 +2,7 @@ package doctor
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -74,15 +75,45 @@ func TestAttributionBuckets(t *testing.T) {
 }
 
 func TestAttributionUnknownTickPeriod(t *testing.T) {
-	// Without a known tick period the preemption-ended wait cannot be
-	// split: it all lands in PreemptDelay.
-	r := Analyze(attribScenario(), nil, Config{TailQuantile: 0.01})
-	a := r.Attribution[0]
-	if a.TickQuant != 0 || a.PreemptDelay != 15*simtime.Microsecond {
-		t.Fatalf("tq=%v pd=%v, want 0 and 15µs", a.TickQuant, a.PreemptDelay)
+	// Without a known tick period (zero or negative) the preemption-ended
+	// wait cannot be split: it all lands in PreemptDelay.
+	for _, tick := range []simtime.Duration{0, -simtime.Microsecond} {
+		r := Analyze(attribScenario(), nil, Config{TailQuantile: 0.01, TickPeriod: tick})
+		a := r.Attribution[0]
+		if a.TickQuant != 0 || a.PreemptDelay != 15*simtime.Microsecond {
+			t.Fatalf("tick %v: tq=%v pd=%v, want 0 and 15µs", tick, a.TickQuant, a.PreemptDelay)
+		}
+		if a.Total() != 66*simtime.Microsecond {
+			t.Fatalf("tick %v: decomposition no longer exact: %v", tick, a.Total())
+		}
 	}
-	if a.Total() != 66*simtime.Microsecond {
-		t.Fatalf("decomposition no longer exact: %v", a.Total())
+}
+
+// TestWindowRunqHighWaterCarriesOpenDepth: a window's runqueue high-water
+// mark starts at the depth the window opened with, so a window that only
+// drains the queue — or sees no events at all — still reports the backlog
+// it held.
+func TestWindowRunqHighWaterCarriesOpenDepth(t *testing.T) {
+	ev := func(at simtime.Time, k trace.Kind, cpu, task int) trace.Event {
+		return trace.Event{At: at, Kind: k, CPU: cpu, Task: task}
+	}
+	us := simtime.Microsecond
+	events := []trace.Event{
+		ev(0, trace.Wake, -1, 1),
+		ev(1*us, trace.Wake, -1, 2),
+		ev(2*us, trace.Wake, -1, 3), // window 0: depth 3
+		ev(12*us, trace.Dispatch, 0, 1),
+		// window 2 [20µs, 30µs) has no events
+		ev(35*us, trace.Dispatch, 1, 2),
+	}
+	cfg := Config{Window: 10 * us}.withDefaults()
+	windows, _ := buildWindows(events, obs.BuildSpans(events), cfg)
+	var got []int
+	for _, w := range windows {
+		got = append(got, w.RunqHighWater)
+	}
+	if want := []int{3, 3, 2, 2}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("runq high-water per window = %v, want %v", got, want)
 	}
 }
 
@@ -255,7 +286,7 @@ func TestReportDeterministicJSON(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two analyses of the same trace produced different JSON")
 	}
-	if !strings.Contains(a.String(), "\"version\": 1") {
+	if !strings.Contains(a.String(), fmt.Sprintf("\"version\": %d", ReportVersion)) {
 		t.Fatalf("report missing version: %s", a.String())
 	}
 }

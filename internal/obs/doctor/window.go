@@ -26,8 +26,7 @@ type WindowStats struct {
 	WakeP99     simtime.Duration `json:"wake_p99_ns"`
 
 	// RunqHighWater is the deepest the runnable queue got during the
-	// window, reconstructed from the event stream (wakes and preemption /
-	// yield re-enqueues push, dispatches pop).
+	// window, including the depth it opened with (see WindowFold).
 	RunqHighWater int `json:"runq_high_water"`
 
 	// Event rates: raw counts of the window's scheduling activity.
@@ -51,6 +50,63 @@ type WindowStats struct {
 	LeaseReturns uint64 `json:"lease_returns,omitempty"`
 }
 
+// WindowFold is the per-window event fold shared by the batch doctor and
+// the live bus. It counts the window's scheduling activity and
+// reconstructs the runnable-queue depth from the event stream: wakes and
+// preemption/yield re-enqueues push, dispatches pop. Initial submissions
+// enter the queue without a Wake event, so the depth is a lower bound; it
+// is clamped at zero and carried across windows, and each window's
+// high-water mark starts at the depth the window opened with. The zero
+// value is ready to use.
+type WindowFold struct {
+	depth int
+	cur   WindowStats
+}
+
+// Add folds one event into the open window.
+func (f *WindowFold) Add(ev trace.Event) {
+	switch ev.Kind {
+	case trace.Dispatch:
+		f.cur.Dispatches++
+		if f.depth > 0 {
+			f.depth--
+		}
+	case trace.Wake:
+		f.cur.Wakes++
+		f.push()
+	case trace.Preempt:
+		f.cur.Preempts++
+		f.push()
+	case trace.Yield:
+		f.push()
+	case trace.Steal:
+		f.cur.Steals++
+	case trace.Inject:
+		f.cur.Injects++
+	case trace.LeaseGrant:
+		f.cur.LeaseGrants++
+	case trace.LeaseRevoke:
+		f.cur.LeaseRevokes++
+	case trace.LeaseReturn:
+		f.cur.LeaseReturns++
+	}
+}
+
+func (f *WindowFold) push() {
+	f.depth++
+	f.cur.RunqHighWater = max(f.cur.RunqHighWater, f.depth)
+}
+
+// Close seals the open window as [start, end) and opens the next one. The
+// returned stats carry the event counts and the runqueue high-water mark;
+// the span-derived fields are the caller's.
+func (f *WindowFold) Close(start, end simtime.Time) WindowStats {
+	ws := f.cur
+	ws.Start, ws.End = start, end
+	f.cur = WindowStats{RunqHighWater: f.depth}
+	return ws
+}
+
 // wakeHist builds the overall wakeup-latency histogram from spans with a
 // known wake instant.
 func wakeHist(spans *obs.SpanSet) *stats.Hist {
@@ -63,12 +119,12 @@ func wakeHist(spans *obs.SpanSet) *stats.Hist {
 	return h
 }
 
-// buildWindows slices the event stream into fixed virtual-time windows. The
-// window width doubles until the run fits in maxWindows windows, so a long
-// sweep cannot blow up the report. The second result is the union of the
-// per-window wakeup histograms (via stats.Hist.Merge) — by construction it
-// equals the whole-run histogram, and TestWindowHistsMergeToOverall holds
-// the two to that identity.
+// buildWindows runs the WindowFold over the event stream on a fixed
+// virtual-time grid. The window width doubles until the run fits in
+// maxWindows windows, so a long sweep cannot blow up the report. The second
+// result is the union of the per-window wakeup histograms (via
+// stats.Hist.Merge) — by construction it equals the whole-run histogram,
+// and TestWindowHistsMergeToOverall holds the two to that identity.
 func buildWindows(events []trace.Event, spans *obs.SpanSet, cfg Config) ([]WindowStats, *stats.Hist) {
 	if len(events) == 0 {
 		return nil, stats.NewHist()
@@ -80,62 +136,30 @@ func buildWindows(events []trace.Event, spans *obs.SpanSet, cfg Config) ([]Windo
 		w *= 2
 	}
 	n := int((tN-t0)/w) + 1
-	out := make([]WindowStats, n)
-	hists := make([]*stats.Hist, n)
-	for i := range out {
-		out[i].Start = t0 + simtime.Time(i)*w
-		out[i].End = out[i].Start + w
-		hists[i] = stats.NewHist()
-	}
 	idx := func(at simtime.Time) int {
-		i := int((at - t0) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		return i
+		return min(max(int((at-t0)/w), 0), n-1)
 	}
 
-	// Event counts and the reconstructed runqueue depth. Initial
-	// submissions enter the queue without a Wake event, so the
-	// reconstruction is a lower bound; it is clamped at zero.
-	depth := 0
-	for _, ev := range events {
-		ws := &out[idx(ev.At)]
-		switch ev.Kind {
-		case trace.Dispatch:
-			ws.Dispatches++
-			if depth > 0 {
-				depth--
-			}
-		case trace.Wake:
-			ws.Wakes++
-			depth++
-		case trace.Preempt, trace.Yield:
-			if ev.Kind == trace.Preempt {
-				ws.Preempts++
-			}
-			depth++
-		case trace.Steal:
-			ws.Steals++
-		case trace.Inject:
-			ws.Injects++
-		case trace.LeaseGrant:
-			ws.LeaseGrants++
-		case trace.LeaseRevoke:
-			ws.LeaseRevokes++
-		case trace.LeaseReturn:
-			ws.LeaseReturns++
-		}
-		if depth > ws.RunqHighWater {
-			ws.RunqHighWater = depth
+	out := make([]WindowStats, 0, n)
+	var fold WindowFold
+	closeTo := func(i int) {
+		for len(out) < i {
+			start := t0 + simtime.Time(len(out))*w
+			out = append(out, fold.Close(start, start+w))
 		}
 	}
+	for _, ev := range events {
+		closeTo(idx(ev.At))
+		fold.Add(ev)
+	}
+	closeTo(n)
 
 	// Span-derived per-window signals: completions by end time, wakeup
 	// latency by first-dispatch time.
+	hists := make([]*stats.Hist, n)
+	for i := range hists {
+		hists[i] = stats.NewHist()
+	}
 	for _, s := range spans.Spans {
 		out[idx(s.End)].Completed++
 		if s.WakeKnown {

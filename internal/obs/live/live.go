@@ -42,24 +42,19 @@ import (
 // DefaultWindow is the snapshot window width when Config.Window is zero.
 const DefaultWindow = simtime.Millisecond
 
-// DefaultHistory is the published-snapshot ring capacity (the /history
-// endpoint's reach) when Config.History is zero.
-const DefaultHistory = 64
-
-// DefaultStarvation is the live starvation threshold when
-// Config.Starvation is zero — aligned with the doctor's post-hoc detector.
-const DefaultStarvation = 10 * simtime.Millisecond
+// HistoryLen is the published-snapshot ring capacity: the /history
+// endpoint's reach.
+const HistoryLen = 64
 
 // Config tunes the bus.
 type Config struct {
 	// Window is the snapshot window width in virtual time.
 	Window simtime.Duration
-	// History bounds the published-snapshot ring served over HTTP.
-	History int
-	// Starvation is the live starvation threshold: a task whose
-	// wake-to-dispatch latency reaches it (or that is still undispatched
-	// that long after its wake when the window closes) raises a starvation
-	// finding in that window's snapshot.
+	// Starvation is the live starvation threshold (default
+	// doctor.DefaultStarvation): a task whose wake-to-dispatch latency
+	// reaches it (or that is still undispatched that long after its wake
+	// when the window closes) raises a starvation finding in that window's
+	// snapshot.
 	Starvation simtime.Duration
 	// Out, when non-nil, receives one NDJSON line per snapshot, written by
 	// a host-side publisher goroutine so file I/O never blocks dispatch.
@@ -80,7 +75,9 @@ type Source struct {
 	Workers  int
 	// Causal, when non-nil, contributes the causal tracer's top-K
 	// slow-request exemplar summaries to each snapshot and its full
-	// exemplar document to flight-recorder bundles.
+	// exemplar document to flight-recorder bundles. Attach the tracer to
+	// Ring after the bus: the bus's tap must run first, so a snapshot's
+	// exemplars never include the event that closed its window.
 	Causal *causal.Tracer
 }
 
@@ -130,35 +127,24 @@ type appAcc struct {
 	hist      *stats.Hist
 }
 
-// starvAcc accumulates one app's starvation evidence within a window.
-type starvAcc struct {
-	count   uint64
-	firstAt simtime.Time
-	worst   simtime.Duration
-}
-
 // Bus is the live telemetry bus. Attach wires it; all bus state is mutated
 // on the simulation thread only (tap + boundary events); the published
 // snapshot ring is the sole shared surface, guarded by a mutex for the
 // HTTP server and host-side readers.
 type Bus struct {
-	cfg Config
-	src Source
+	cfg   Config
+	src   Source
+	tapID int
 
 	st       *obs.Stitcher
 	winStart simtime.Time
 	winEnd   simtime.Time
 
-	depth   int // runnable-queue depth, reconstructed; carried across windows
-	depthHW int
-
-	dispatches, wakes, preempts, steals, injects uint64
-	leaseGrants, leaseRevokes, leaseReturns      uint64
-
+	fold     doctor.WindowFold
 	wakeHist *stats.Hist
 	pending  map[int]pendingWake
 	apps     map[int]*appAcc
-	starved  map[int]*starvAcc
+	starved  doctor.Starvation
 
 	prev map[string]float64 // last metrics snapshot, for deltas
 
@@ -185,11 +171,8 @@ func Attach(cfg Config, src Source) *Bus {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
-	if cfg.History <= 0 {
-		cfg.History = DefaultHistory
-	}
 	if cfg.Starvation <= 0 {
-		cfg.Starvation = DefaultStarvation
+		cfg.Starvation = doctor.DefaultStarvation
 	}
 	b := &Bus{
 		cfg:        cfg,
@@ -198,16 +181,16 @@ func Attach(cfg Config, src Source) *Bus {
 		wakeHist:   stats.NewHist(),
 		pending:    map[int]pendingWake{},
 		apps:       map[int]*appAcc{},
-		starved:    map[int]*starvAcc{},
+		starved:    doctor.Starvation{Threshold: cfg.Starvation},
 		prev:       map[string]float64{},
-		streamHash: fnvOffset,
+		streamHash: det.FNVOffset,
 	}
 	b.winStart = src.Clock.Now()
 	b.winEnd = b.winStart + simtime.Time(cfg.Window)
 	if b.cfg.Recorder != nil {
 		b.cfg.Recorder.attach(b)
 	}
-	src.Ring.SetTap(b.onEvent)
+	b.tapID = src.Ring.AddTap(b.onEvent)
 	// The bus schedules only its own window-boundary ticks; they carry no
 	// sim-visible effect and the stream hash is proven topology-invariant.
 	//simlint:allow attachonly the bus owns its window-boundary tick events
@@ -226,53 +209,24 @@ func (b *Bus) onEvent(ev trace.Event) {
 	for ev.At >= b.winEnd {
 		b.publish(false)
 	}
+	b.fold.Add(ev)
 	switch ev.Kind {
 	case trace.Dispatch:
-		b.dispatches++
-		if b.depth > 0 {
-			b.depth--
-		}
 		if p, ok := b.pending[ev.Task]; ok {
 			lat := simtime.Duration(ev.At - p.at)
 			b.wakeHist.Record(lat)
 			b.app(ev.App).hist.Record(lat)
-			if lat >= b.cfg.Starvation {
-				b.starve(ev.App, p.at, lat)
-			}
+			b.starved.Observe(ev.App, p.at, lat)
 			delete(b.pending, ev.Task)
 		}
 	case trace.Wake:
-		b.wakes++
 		b.pending[ev.Task] = pendingWake{at: ev.At, app: ev.App}
-		b.bumpDepth()
-	case trace.Preempt:
-		b.preempts++
-		b.bumpDepth()
-	case trace.Yield:
-		b.bumpDepth()
-	case trace.Steal:
-		b.steals++
-	case trace.Inject:
-		b.injects++
-	case trace.LeaseGrant:
-		b.leaseGrants++
-	case trace.LeaseRevoke:
-		b.leaseRevokes++
-	case trace.LeaseReturn:
-		b.leaseReturns++
 	}
 	if r := b.cfg.Recorder; r != nil {
 		r.record(ev)
 	}
 	b.st.Feed(ev)
 	b.dirty = true
-}
-
-func (b *Bus) bumpDepth() {
-	b.depth++
-	if b.depth > b.depthHW {
-		b.depthHW = b.depth
-	}
 }
 
 func (b *Bus) app(id int) *appAcc {
@@ -282,18 +236,6 @@ func (b *Bus) app(id int) *appAcc {
 		b.apps[id] = a
 	}
 	return a
-}
-
-func (b *Bus) starve(app int, firstAt simtime.Time, lat simtime.Duration) {
-	s := b.starved[app]
-	if s == nil {
-		s = &starvAcc{firstAt: firstAt}
-		b.starved[app] = s
-	}
-	s.count++
-	if lat > s.worst {
-		s.worst = lat
-	}
 }
 
 // tick is the boundary event: close windows up to now and re-arm.
@@ -322,19 +264,16 @@ func (b *Bus) publish(partial bool) {
 	if err != nil {
 		panic(fmt.Sprintf("live: snapshot marshal: %v", err))
 	}
-	h := b.streamHash
-	for _, c := range line {
-		h = (h ^ uint64(c)) * fnvPrime
-	}
-	b.streamHash = (h ^ '\n') * fnvPrime
+	line = append(line, '\n')
+	b.streamHash = det.FNVBytes(b.streamHash, line)
 	b.nwin++
 
 	if b.ch != nil {
-		b.ch <- append(line, '\n')
+		b.ch <- line
 	}
 
 	b.mu.Lock()
-	if len(b.hist) >= b.cfg.History {
+	if len(b.hist) >= HistoryLen {
 		copy(b.hist, b.hist[1:])
 		b.hist = b.hist[:len(b.hist)-1]
 	}
@@ -351,12 +290,8 @@ func (b *Bus) publish(partial bool) {
 	// Open the next window.
 	b.winStart = end
 	b.winEnd = end + simtime.Time(b.cfg.Window)
-	b.depthHW = b.depth
-	b.dispatches, b.wakes, b.preempts, b.steals, b.injects = 0, 0, 0, 0, 0
-	b.leaseGrants, b.leaseRevokes, b.leaseReturns = 0, 0, 0
 	b.wakeHist = stats.NewHist()
 	b.apps = map[int]*appAcc{}
-	b.starved = map[int]*starvAcc{}
 	b.dirty = false
 }
 
@@ -371,29 +306,15 @@ func (b *Bus) buildSnapshot(end simtime.Time, partial bool) Snapshot {
 	// starving — report it now, not when (if ever) it finally runs.
 	for _, task := range det.SortedKeys(b.pending) {
 		p := b.pending[task]
-		if lat := simtime.Duration(end - p.at); lat >= b.cfg.Starvation {
-			b.starve(p.app, p.at, lat)
-		}
+		b.starved.Observe(p.app, p.at, simtime.Duration(end-p.at))
 	}
 
 	width := simtime.Duration(end - b.winStart)
-	ws := doctor.WindowStats{
-		Start:         b.winStart,
-		End:           end,
-		Completed:     len(closed),
-		WakeSamples:   b.wakeHist.Count(),
-		WakeP50:       b.wakeHist.P50(),
-		WakeP99:       b.wakeHist.P99(),
-		RunqHighWater: b.depthHW,
-		Dispatches:    b.dispatches,
-		Wakes:         b.wakes,
-		Preempts:      b.preempts,
-		Steals:        b.steals,
-		Injects:       b.injects,
-		LeaseGrants:   b.leaseGrants,
-		LeaseRevokes:  b.leaseRevokes,
-		LeaseReturns:  b.leaseReturns,
-	}
+	ws := b.fold.Close(b.winStart, end)
+	ws.Completed = len(closed)
+	ws.WakeSamples = b.wakeHist.Count()
+	ws.WakeP50 = b.wakeHist.P50()
+	ws.WakeP99 = b.wakeHist.P99()
 	if width > 0 {
 		ws.ThroughputRPS = float64(len(closed)) * float64(simtime.Second) / float64(width)
 	}
@@ -421,18 +342,7 @@ func (b *Bus) buildSnapshot(end simtime.Time, partial bool) Snapshot {
 		}
 		snap.Apps = append(snap.Apps, aw)
 	}
-	for _, app := range det.SortedKeys(b.starved) {
-		s := b.starved[app]
-		snap.Findings = append(snap.Findings, doctor.Finding{
-			Code:    doctor.CodeStarvation,
-			App:     app,
-			FirstAt: s.firstAt,
-			Count:   s.count,
-			Value:   float64(s.worst),
-			Evidence: fmt.Sprintf("%d wakeups waited >= %v this window (worst %v)",
-				s.count, b.cfg.Starvation, s.worst),
-		})
-	}
+	snap.Findings = b.starved.Flush("%d wakeups waited >= %v this window (worst %v)")
 	if b.src.Registry != nil {
 		for _, s := range b.src.Registry.Snapshot() {
 			snap.Metrics = append(snap.Metrics, MetricDelta{
@@ -476,7 +386,7 @@ func (b *Bus) Close() error {
 	if b.dirty || b.src.Clock.Now() > b.winStart {
 		b.publish(true)
 	}
-	b.src.Ring.SetTap(nil)
+	b.src.Ring.RemoveTap(b.tapID)
 	if b.ch != nil {
 		close(b.ch)
 		b.wg.Wait()
@@ -527,8 +437,3 @@ func (b *Bus) History(since int) []Snapshot {
 	}
 	return out
 }
-
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)

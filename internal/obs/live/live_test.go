@@ -62,12 +62,12 @@ func runLive(t *testing.T, seed uint64, mutate func(*live.Config)) liveRun {
 		mutate(&cfg)
 	}
 	ctr := causal.New(causal.Config{Episodes: true, TickPeriod: simtime.Second / 100_000})
-	ctr.Attach(tr)
 	ctr.SetDeliveryProber(e)
 	bus := live.Attach(cfg, live.Source{
 		Clock: m.Clock, Ring: tr, Registry: &reg,
 		AppNames: e.AppNames(), Workers: e.Workers(), Causal: ctr,
 	})
+	ctr.Attach(tr)
 
 	for ai := 0; ai < 2; ai++ {
 		app := e.NewApp("app")
@@ -145,11 +145,15 @@ func TestStreamReplayDeterminism(t *testing.T) {
 }
 
 // TestHistorySince: the /history cursor semantics — Seq > since, oldest
-// first, bounded by the configured ring.
+// first, bounded by the HistoryLen ring. Narrow windows make the run
+// publish more snapshots than the ring holds.
 func TestHistorySince(t *testing.T) {
-	r := runLive(t, 5, func(c *live.Config) { c.History = 4 })
-	if len(r.hist) != 4 {
-		t.Fatalf("history retained %d snapshots, want 4", len(r.hist))
+	r := runLive(t, 5, func(c *live.Config) { c.Window = 100 * simtime.Microsecond })
+	if r.windows <= live.HistoryLen {
+		t.Fatalf("run published only %d windows; the ring bound is not exercised", r.windows)
+	}
+	if len(r.hist) != live.HistoryLen {
+		t.Fatalf("history retained %d snapshots, want %d", len(r.hist), live.HistoryLen)
 	}
 	last := r.hist[len(r.hist)-1].Seq
 	if last != r.windows-1 {

@@ -2,7 +2,6 @@ package live
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 
@@ -13,14 +12,15 @@ import (
 	"skyloft/internal/trace"
 )
 
-// DefaultRetain is the flight-recorder window retention when Retain is 0.
-const DefaultRetain = 8
+// RecorderRetain is how many closed windows of events the flight recorder
+// keeps.
+const RecorderRetain = 8
 
-// Recorder is the flight recorder: a bounded ring of the last K published
-// windows at full event fidelity, plus the current partial window. When a
-// trigger fires — a live pathology finding, or an external detector such as
-// faults.InvariantChecker via Bus.Trigger — it dumps a post-mortem bundle
-// into Dir:
+// Recorder is the flight recorder: a bounded ring of the last
+// RecorderRetain published windows at full event fidelity, plus the current
+// partial window. When the first trigger fires — a live pathology
+// finding, or an external detector such as faults.InvariantChecker via
+// Bus.Trigger — it dumps a post-mortem bundle into Dir:
 //
 //	trace.json     Perfetto trace_event slice of the retained windows
 //	               (validated by cmd/tracecheck), with causal flow events
@@ -34,19 +34,15 @@ const DefaultRetain = 8
 //	               stats and findings, exemplar summaries, and bundle
 //	               inventory
 //
-// Retention is bounded (K windows of events), so the recorder's memory is
-// O(K · events-per-window) regardless of run length — the black-box model:
+// Only the first trigger materialises a bundle: the first failure is the
+// interesting one, later triggers are usually its echo. Retention is
+// bounded, so the recorder's memory is O(RecorderRetain ·
+// events-per-window) regardless of run length — the black-box model:
 // always on, cheap, and only materialised on failure.
 type Recorder struct {
-	// Retain is how many closed windows of events to keep (default 8).
-	Retain int
 	// Dir is the bundle directory. Empty: triggers are counted but nothing
 	// is written (perturbation tests use this).
 	Dir string
-	// MaxDumps bounds how many triggers materialise a bundle (default 1 —
-	// the first failure is the interesting one; later triggers are usually
-	// its echo). Additional dumps land in Dir-2, Dir-3, ...
-	MaxDumps int
 
 	src      Source
 	wins     []recWindow
@@ -73,15 +69,7 @@ type manifest struct {
 	Exemplars []causal.Summary `json:"exemplars,omitempty"`
 }
 
-func (r *Recorder) attach(b *Bus) {
-	if r.Retain <= 0 {
-		r.Retain = DefaultRetain
-	}
-	if r.MaxDumps <= 0 {
-		r.MaxDumps = 1
-	}
-	r.src = b.src
-}
+func (r *Recorder) attach(b *Bus) { r.src = b.src }
 
 // record buffers one event into the current partial window.
 func (r *Recorder) record(ev trace.Event) {
@@ -97,31 +85,25 @@ func (r *Recorder) roll(snap Snapshot) {
 		r.cur = r.cur[:0]
 	}
 	r.wins = append(r.wins, w)
-	if len(r.wins) > r.Retain {
+	if len(r.wins) > RecorderRetain {
 		copy(r.wins, r.wins[1:])
 		r.wins = r.wins[:len(r.wins)-1]
 	}
 }
 
-// Trigger counts a trigger and, within the MaxDumps budget, dumps the
-// bundle. Safe to call from detector hooks running inside event callbacks:
-// it only reads recorder state and writes host-side files.
+// Trigger counts a trigger and, on the first one, dumps the bundle. Safe to
+// call from detector hooks running inside event callbacks: it only reads
+// recorder state and writes host-side files.
 func (r *Recorder) Trigger(reason string) {
 	r.triggers++
-	if r.dumps >= r.MaxDumps {
+	if r.dumps > 0 {
 		return
 	}
 	r.dumps++
 	if r.Dir == "" {
 		return
 	}
-	dir := r.Dir
-	if r.dumps > 1 {
-		dir = fmt.Sprintf("%s-%d", r.Dir, r.dumps)
-	}
-	if err := r.dump(dir, reason); err != nil && r.err == nil {
-		r.err = err
-	}
+	r.err = r.dump(r.Dir, reason)
 }
 
 // Triggers reports how many times the recorder fired.

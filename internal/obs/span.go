@@ -226,36 +226,21 @@ func (ss *SpanSet) Validate() error {
 	return nil
 }
 
-// FNV-1a over span fields: the determinism witness for span stitching.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xFF
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
-}
-
-// Hash digests every span's fields in order. Two runs produced identical
-// span sets iff their counts and hashes match.
+// Hash digests every span's fields in order with FNV-1a. Two runs produced
+// identical span sets iff their counts and hashes match.
 func (ss *SpanSet) Hash() uint64 {
-	h := fnvOffset
+	h := det.FNVOffset
 	for _, s := range ss.Spans {
-		h = fnvMix(h, uint64(int64(s.Task)))
-		h = fnvMix(h, uint64(int64(s.App)))
-		h = fnvMix(h, uint64(s.Wake))
-		h = fnvMix(h, uint64(s.FirstDispatch))
-		h = fnvMix(h, uint64(s.End))
-		h = fnvMix(h, uint64(s.EndKind))
-		h = fnvMix(h, uint64(s.Run))
-		h = fnvMix(h, uint64(s.Preempted))
-		h = fnvMix(h, uint64(s.Blocked))
-		h = fnvMix(h, uint64(int64(s.Dispatches)))
+		h = det.FNVMix(h, uint64(int64(s.Task)))
+		h = det.FNVMix(h, uint64(int64(s.App)))
+		h = det.FNVMix(h, uint64(s.Wake))
+		h = det.FNVMix(h, uint64(s.FirstDispatch))
+		h = det.FNVMix(h, uint64(s.End))
+		h = det.FNVMix(h, uint64(s.EndKind))
+		h = det.FNVMix(h, uint64(s.Run))
+		h = det.FNVMix(h, uint64(s.Preempted))
+		h = det.FNVMix(h, uint64(s.Blocked))
+		h = det.FNVMix(h, uint64(int64(s.Dispatches)))
 	}
 	return h
 }

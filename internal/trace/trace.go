@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 
+	"skyloft/internal/det"
 	"skyloft/internal/simtime"
 )
 
@@ -153,8 +154,8 @@ func (e Event) String() string {
 // Ring is a bounded event recorder. The zero value is unusable; use New.
 // The ring is owned sim state: its hash and counters are part of the
 // determinism contract, so only the simulation may write it. Observers
-// attach through the declared tap surface (SetTap/AddTap/
-// RemoveTap) and never mutate anything else.
+// attach through the declared tap surface (AddTap/RemoveTap) and never
+// mutate anything else.
 //
 //simlint:owner sim
 type Ring struct {
@@ -162,27 +163,20 @@ type Ring struct {
 	next    int
 	wrapped bool
 	total   uint64
+	dropped uint64
 	hash    uint64
 	counts  [kindCount]uint64
-	tap     func(Event)
 	taps    []func(Event)
 }
 
-// SetTap installs fn to observe every event as it is recorded (nil removes
-// it). The tap runs synchronously inside Record, after the event has been
-// hashed and appended, so it sees the exact recorded stream — including
-// events the ring later evicts. Taps must not mutate simulation state: they
-// exist for attach-only consumers (the live telemetry bus) that fold the
-// stream incrementally instead of draining the ring post-hoc.
-//
-//simlint:attachpoint tap registration is the sanctioned observer mutation
-func (r *Ring) SetTap(fn func(Event)) { r.tap = fn }
-
-// AddTap installs an additional tap alongside the primary SetTap slot and
-// returns a handle for RemoveTap. Extra taps run after the primary tap, in
-// registration order, under the same contract: synchronous, read-only,
-// attach-only. Multiple observers (the live bus via SetTap, the causal
-// tracer via AddTap) can therefore share one ring.
+// AddTap installs fn to observe every event as it is recorded and returns a
+// handle for RemoveTap. Taps run synchronously inside Record, in
+// registration order, after the event has been hashed and appended, so they
+// see the exact recorded stream — including events the ring later evicts.
+// Taps must not mutate simulation state: they exist for attach-only
+// consumers (the live telemetry bus, the causal tracer) that fold the
+// stream incrementally instead of draining the ring post-hoc. Observers
+// that read each other's state must register in dependency order.
 //
 //simlint:attachpoint tap registration is the sanctioned observer mutation
 func (r *Ring) AddTap(fn func(Event)) int {
@@ -190,7 +184,7 @@ func (r *Ring) AddTap(fn func(Event)) int {
 	return len(r.taps) - 1
 }
 
-// RemoveTap uninstalls the extra tap registered under id. Slots are not
+// RemoveTap uninstalls the tap registered under id. Slots are not
 // reused, so handles stay valid across removals of other taps.
 //
 //simlint:attachpoint tap removal is the sanctioned observer mutation
@@ -205,23 +199,7 @@ func New(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = 1 << 16
 	}
-	return &Ring{buf: make([]Event, 0, capacity), hash: fnvOffset}
-}
-
-// FNV-1a over every recorded event's fields, maintained incrementally so
-// Hash covers the full history even after the ring evicts old events.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xFF
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
+	return &Ring{buf: make([]Event, 0, capacity), hash: det.FNVOffset}
 }
 
 // Record appends an event, evicting the oldest when full.
@@ -230,12 +208,14 @@ func (r *Ring) Record(ev Event) {
 	if int(ev.Kind) < len(r.counts) {
 		r.counts[ev.Kind]++
 	}
-	h := fnvMix(r.hash, uint64(ev.At))
-	h = fnvMix(h, uint64(ev.Kind))
-	h = fnvMix(h, uint64(int64(ev.CPU)))
-	h = fnvMix(h, uint64(int64(ev.Task)))
-	h = fnvMix(h, uint64(int64(ev.App)))
-	h = fnvMix(h, uint64(ev.Arg))
+	// FNV-1a over every recorded event's fields, maintained incrementally
+	// so Hash covers the full history even after the ring evicts old events.
+	h := det.FNVMix(r.hash, uint64(ev.At))
+	h = det.FNVMix(h, uint64(ev.Kind))
+	h = det.FNVMix(h, uint64(int64(ev.CPU)))
+	h = det.FNVMix(h, uint64(int64(ev.Task)))
+	h = det.FNVMix(h, uint64(int64(ev.App)))
+	h = det.FNVMix(h, uint64(ev.Arg))
 	r.hash = h
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, ev)
@@ -243,9 +223,7 @@ func (r *Ring) Record(ev Event) {
 		r.buf[r.next] = ev
 		r.next = (r.next + 1) % len(r.buf)
 		r.wrapped = true
-	}
-	if r.tap != nil {
-		r.tap(ev)
+		r.dropped++
 	}
 	for _, tap := range r.taps {
 		if tap != nil {
@@ -256,6 +234,11 @@ func (r *Ring) Record(ev Event) {
 
 // Total reports events recorded over the ring's lifetime.
 func (r *Ring) Total() uint64 { return r.total }
+
+// Dropped reports how many recorded events the ring evicted by wrapping
+// around. A non-zero count means Events returns only a suffix of the run;
+// Reset discards events on purpose and does not count.
+func (r *Ring) Dropped() uint64 { return r.dropped }
 
 // Hash reports a running FNV-1a digest of every event ever recorded (not
 // just the retained window). Two runs are behaviourally identical iff their

@@ -29,6 +29,32 @@ func TestRingRetainsAndWraps(t *testing.T) {
 	}
 }
 
+// TestDroppedCountsEvictions: every event a full ring overwrites counts as
+// dropped, a ring that never filled drops nothing, and Reset — which
+// discards the window on purpose — neither counts nor clears the tally.
+func TestDroppedCountsEvictions(t *testing.T) {
+	r := New(4)
+	for i := 0; i < 4; i++ {
+		r.Record(Event{At: simtime.Time(i), Kind: Wake, Task: i})
+	}
+	if r.Dropped() != 0 {
+		t.Fatalf("full but unwrapped ring dropped %d", r.Dropped())
+	}
+	for i := 4; i < 11; i++ {
+		r.Record(Event{At: simtime.Time(i), Kind: Wake, Task: i})
+	}
+	if r.Dropped() != 7 {
+		t.Fatalf("Dropped = %d after 11 events into 4 slots, want 7", r.Dropped())
+	}
+	r.Reset()
+	for i := 11; i < 14; i++ {
+		r.Record(Event{At: simtime.Time(i), Kind: Wake, Task: i})
+	}
+	if r.Dropped() != 7 {
+		t.Fatalf("Dropped = %d after Reset and a partial refill, want 7", r.Dropped())
+	}
+}
+
 func TestValidateAcceptsCleanSchedule(t *testing.T) {
 	evs := []Event{
 		{Kind: Dispatch, CPU: 0, Task: 1},
