@@ -6,9 +6,10 @@ GO ?= go
 # the full test suite under the race detector (the parallel sweep runner
 # makes -race meaningful), a short benchmark smoke to catch accidental
 # allocation regressions in the event core, the observability smoke, and
-# the benchmark regression gate against the committed BENCH_skyloft.json.
+# the benchmark regression gate against the committed BENCH_skyloft.json,
+# and a few seconds of native fuzzing per fuzz target.
 .PHONY: check
-check: vet build lint race bench-smoke trace-smoke live-smoke causal-smoke bench-gate chaos oversub
+check: vet build lint race bench-smoke trace-smoke live-smoke causal-smoke bench-gate chaos oversub fuzz-smoke
 
 .PHONY: vet
 vet:
@@ -62,6 +63,23 @@ race-core:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkClock' -benchtime 100x -benchmem ./internal/simtime/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig7Sweep$$' -benchtime 1x -benchmem ./internal/bench/
+
+# Fuzz smoke: run every native fuzz target for five seconds past its
+# committed seed corpus (testdata/fuzz). Plain `go test` replays the corpus
+# only; this explores new inputs. A crasher is written under testdata/fuzz:
+# commit it as a regression entry once fixed. The toolchain fuzzes one
+# target per invocation, so each target is listed as name:package.
+FUZZ_TARGETS := \
+	FuzzClockMatchesHeap:./internal/simtime/ \
+	FuzzLSMMatchesReference:./internal/apps/kvstore/
+
+.PHONY: fuzz-smoke
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		name=$${t%%:*}; pkg=$${t#*:}; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 5s $$pkg || exit 1; \
+	done
+	@echo "fuzz-smoke OK"
 
 # End-to-end observability smoke: run skyloft-trace with all four
 # observability outputs, verify the Perfetto JSON parses and has a slice

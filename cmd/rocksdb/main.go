@@ -18,7 +18,6 @@ import (
 
 	"skyloft/internal/apps/server"
 	"skyloft/internal/bench"
-	"skyloft/internal/det"
 	"skyloft/internal/simtime"
 )
 
@@ -46,8 +45,8 @@ func main() {
 	const slo = 50.0
 	best := map[string]float64{}
 	for _, row := range t.Rows {
-		for _, col := range det.SortedKeys(row.Values) {
-			if s := row.Values[col]; s > 0 && s <= slo && row.X > best[col] {
+		for col, s := range row.Values {
+			if s > 0 && s <= slo && row.X > best[col] {
 				best[col] = row.X
 			}
 		}

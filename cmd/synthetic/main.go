@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"skyloft/internal/bench"
-	"skyloft/internal/det"
 	"skyloft/internal/loadgen"
 	"skyloft/internal/simtime"
 	"skyloft/internal/stats"
@@ -86,8 +85,8 @@ func printSLOSummary(t *stats.Table, loads []float64) {
 	const slo = 200.0 // µs
 	best := map[string]float64{}
 	for _, row := range t.Rows {
-		for _, col := range det.SortedKeys(row.Values) {
-			if p99 := row.Values[col]; p99 <= slo && row.X > best[col] {
+		for col, p99 := range row.Values {
+			if p99 <= slo && row.X > best[col] {
 				best[col] = row.X
 			}
 		}

@@ -126,43 +126,111 @@ func TestLSMScanRangeAndLimit(t *testing.T) {
 	}
 }
 
-// Property: the LSM agrees with a plain map after any put sequence, and
-// scans return sorted, deduplicated ranges.
+// Property: the LSM agrees with a map-plus-sort reference under any
+// interleaving of puts, gets and scans, across flushes and compactions.
 func TestQuickLSMVsMap(t *testing.T) {
-	f := func(keys []uint8) bool {
-		l := NewLSM(8)
-		ref := map[string]string{}
-		for i, k := range keys {
-			key := fmt.Sprintf("key-%03d", k)
-			val := fmt.Sprintf("v%d", i)
-			l.Put(key, val)
-			ref[key] = val
-		}
-		for key, want := range ref {
-			if got, ok := l.Get(key); !ok || got != want {
-				return false
-			}
-		}
-		// Full scan equals the sorted reference values.
-		var refKeys []string
-		for k := range ref {
-			refKeys = append(refKeys, k)
-		}
-		sort.Strings(refKeys)
-		got := l.Scan("key-000", "key-999", 0)
-		if len(got) != len(refKeys) {
+	f := func(prog []byte) bool {
+		if err := checkLSM(prog); err != nil {
+			t.Log(err)
 			return false
-		}
-		for i, k := range refKeys {
-			if got[i] != ref[k] {
-				return false
-			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzLSMMatchesReference is the differential test of the LSM against a
+// naive map-plus-sort reference; see checkLSM for the program encoding. The
+// seed corpus lives in testdata/fuzz.
+func FuzzLSMMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 0, 3, 0, 1, 0, 2, 0, 0, 1, 3, 2, 0, 9, 0})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if err := checkLSM(prog); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// lsmKey maps a byte to one of 24 keys, so programs revisit keys often.
+func lsmKey(b byte) string { return fmt.Sprintf("key-%02d", b%24) }
+
+// checkLSM replays prog against an LSM and a map-plus-sort reference and
+// returns the first disagreement, or nil. The first byte picks a memtable
+// limit of 1 to 4 entries, so flushes and compactions come within a few
+// puts. Each following op is a Put, a Get, or a Scan over a range that may
+// be empty or inverted, with a limit of 0 (none) to 7. The program ends
+// with a Get of every key and an unbounded full scan.
+func checkLSM(prog []byte) error {
+	pc := 0
+	next := func() byte {
+		if pc >= len(prog) {
+			return 0
+		}
+		b := prog[pc]
+		pc++
+		return b
+	}
+	l := NewLSM(int(next()%4) + 1)
+	ref := map[string]string{}
+	refScan := func(start, end string, limit int) []string {
+		var keys []string
+		for k := range ref {
+			if k >= start && k < end {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		if limit > 0 && len(keys) > limit {
+			keys = keys[:limit]
+		}
+		out := make([]string, len(keys))
+		for i, k := range keys {
+			out[i] = ref[k]
+		}
+		return out
+	}
+	checkScan := func(start, end string, limit int) error {
+		got, want := l.Scan(start, end, limit), refScan(start, end, limit)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			return fmt.Errorf("Scan(%q, %q, %d) = %v, want %v", start, end, limit, got, want)
+		}
+		return nil
+	}
+	checkGet := func(key string) error {
+		got, ok := l.Get(key)
+		want, wok := ref[key]
+		if ok != wok || got != want {
+			return fmt.Errorf("Get(%q) = %q, %v; want %q, %v", key, got, ok, want, wok)
+		}
+		return nil
+	}
+	for op := 0; pc < len(prog); op++ {
+		var err error
+		switch next() % 3 {
+		case 0:
+			key, val := lsmKey(next()), fmt.Sprintf("v%d", op)
+			l.Put(key, val)
+			ref[key] = val
+		case 1:
+			err = checkGet(lsmKey(next()))
+		case 2:
+			err = checkScan(lsmKey(next()), lsmKey(next()), int(next()%8))
+		}
+		if err != nil {
+			return fmt.Errorf("op %d: %w", op, err)
+		}
+	}
+	for i := 0; i < 24; i++ {
+		if err := checkGet(lsmKey(byte(i))); err != nil {
+			return err
+		}
+	}
+	if l.Len() < len(ref) {
+		return fmt.Errorf("Len() = %d below the %d distinct keys", l.Len(), len(ref))
+	}
+	return checkScan("", "\xff", 0)
 }
 
 func TestLSMGetMissing(t *testing.T) {

@@ -1,22 +1,18 @@
 package kvstore
 
-import (
-	"sort"
-
-	"skyloft/internal/det"
-)
+import "sort"
 
 // LSM is a miniature log-structured merge store standing in for RocksDB:
-// writes land in a memtable; full memtables flush to immutable sorted runs;
-// reads check the memtable then binary-search the runs newest-first; range
-// scans merge across all levels. GETs touch O(log n) entries while SCANs
-// walk the requested range — reproducing the two-orders-of-magnitude
-// service-time gap (0.95 µs vs 591 µs) that makes the paper's RocksDB
-// workload heavy-tailed.
+// writes land in a key-sorted memtable; a full memtable becomes the newest
+// immutable run; reads binary-search the memtable then the runs
+// newest-first; range scans and compactions are one k-way merge across the
+// levels. GETs touch O(log n) entries while SCANs walk the requested range
+// — reproducing the two-orders-of-magnitude service-time gap (0.95 µs vs
+// 591 µs) that makes the paper's RocksDB workload heavy-tailed.
 type LSM struct {
-	memtable     map[string]string
+	memtable     []kv // sorted by key, one entry per key
 	memLimit     int
-	runs         [][]kv // newest first
+	runs         [][]kv // sorted by key, newest first
 	compactAfter int    // merge all runs once this many accumulate
 
 	gets, scans, puts, flushes, compactions uint64
@@ -33,33 +29,42 @@ func NewLSM(memLimit int) *LSM {
 		memLimit = 4096
 	}
 	return &LSM{
-		memtable:     make(map[string]string),
+		memtable:     make([]kv, 0, memLimit),
 		memLimit:     memLimit,
 		compactAfter: 4,
 	}
 }
 
+// search returns the index of the first entry of the sorted level with a
+// key at or after key.
+func search(level []kv, key string) int {
+	return sort.Search(len(level), func(i int) bool { return level[i].k >= key })
+}
+
 // Put inserts or updates a key.
 func (l *LSM) Put(key, value string) {
 	l.puts++
-	l.memtable[key] = value
+	i := len(l.memtable)
+	if i > 0 && key <= l.memtable[i-1].k { // ascending keys append unsearched
+		i = search(l.memtable, key)
+		if l.memtable[i].k == key {
+			l.memtable[i].v = value
+			return
+		}
+	}
+	l.memtable = append(l.memtable, kv{})
+	copy(l.memtable[i+1:], l.memtable[i:])
+	l.memtable[i] = kv{key, value}
 	if len(l.memtable) >= l.memLimit {
 		l.flush()
 	}
 }
 
-// flush turns the memtable into a sorted run.
+// flush hands the memtable, already sorted, to the runs as the newest run.
 func (l *LSM) flush() {
-	if len(l.memtable) == 0 {
-		return
-	}
 	l.flushes++
-	run := make([]kv, 0, len(l.memtable))
-	for _, k := range det.SortedKeys(l.memtable) {
-		run = append(run, kv{k, l.memtable[k]})
-	}
-	l.runs = append([][]kv{run}, l.runs...)
-	l.memtable = make(map[string]string)
+	l.runs = append([][]kv{l.memtable}, l.runs...)
+	l.memtable = make([]kv, 0, l.memLimit)
 	if len(l.runs) >= l.compactAfter {
 		l.compact()
 	}
@@ -68,58 +73,81 @@ func (l *LSM) flush() {
 // compact merges all runs into one, newest value winning.
 func (l *LSM) compact() {
 	l.compactions++
-	merged := make(map[string]string)
-	for i := len(l.runs) - 1; i >= 0; i-- { // oldest first, newest overwrites
-		for _, e := range l.runs[i] {
-			merged[e.k] = e.v
+	n := 0
+	for _, run := range l.runs {
+		n += len(run)
+	}
+	merged := make([]kv, 0, n)
+	for e, ok := pop(l.runs); ok; e, ok = pop(l.runs) { // consumes l.runs, which merged replaces
+		merged = append(merged, e)
+	}
+	l.runs = [][]kv{merged}
+}
+
+// pop is the k-way merge step over levels, each sorted by key and ordered
+// newest first. It removes the smallest key from every level holding it and
+// returns that key with its newest value; ok is false once every level is
+// empty.
+func pop(levels [][]kv) (e kv, ok bool) {
+	first := -1
+	for i, lv := range levels {
+		if len(lv) > 0 && (first < 0 || lv[0].k < levels[first][0].k) {
+			first = i
 		}
 	}
-	run := make([]kv, 0, len(merged))
-	for _, k := range det.SortedKeys(merged) {
-		run = append(run, kv{k, merged[k]})
+	if first < 0 {
+		return kv{}, false
 	}
-	l.runs = [][]kv{run}
+	e = levels[first][0]
+	for i := first; i < len(levels); i++ {
+		if len(levels[i]) > 0 && levels[i][0].k == e.k {
+			levels[i] = levels[i][1:]
+		}
+	}
+	return e, true
 }
 
 // Get looks up a key: memtable first, then runs newest-first.
 func (l *LSM) Get(key string) (string, bool) {
 	l.gets++
-	if v, ok := l.memtable[key]; ok {
+	if v, ok := find(l.memtable, key); ok {
 		return v, true
 	}
 	for _, run := range l.runs {
-		i := sort.Search(len(run), func(i int) bool { return run[i].k >= key })
-		if i < len(run) && run[i].k == key {
-			return run[i].v, true
+		if v, ok := find(run, key); ok {
+			return v, true
 		}
 	}
 	return "", false
 }
 
-// Scan returns up to limit key/value pairs with keys in [start, end),
-// merged across the memtable and all runs (newest value wins).
+func find(level []kv, key string) (string, bool) {
+	if i := search(level, key); i < len(level) && level[i].k == key {
+		return level[i].v, true
+	}
+	return "", false
+}
+
+// Scan returns up to limit values (all when limit <= 0) whose keys lie in
+// [start, end), in key order, merged across the memtable and all runs
+// (newest value wins).
 func (l *LSM) Scan(start, end string, limit int) []string {
 	l.scans++
-	seen := make(map[string]string)
-	for i := len(l.runs) - 1; i >= 0; i-- {
-		run := l.runs[i]
-		j := sort.Search(len(run), func(j int) bool { return run[j].k >= start })
-		for ; j < len(run) && run[j].k < end; j++ {
-			seen[run[j].k] = run[j].v
+	levels := make([][]kv, 0, 1+len(l.runs))
+	levels = append(levels, l.memtable[search(l.memtable, start):])
+	for _, run := range l.runs {
+		levels = append(levels, run[search(run, start):])
+	}
+	var out []string
+	if limit > 0 {
+		out = make([]string, 0, min(limit, l.Len()))
+	}
+	for limit <= 0 || len(out) < limit {
+		e, ok := pop(levels)
+		if !ok || e.k >= end {
+			break
 		}
-	}
-	for _, k := range det.SortedKeys(l.memtable) {
-		if k >= start && k < end {
-			seen[k] = l.memtable[k]
-		}
-	}
-	keys := det.SortedKeys(seen)
-	if limit > 0 && len(keys) > limit {
-		keys = keys[:limit]
-	}
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, seen[k])
+		out = append(out, e.v)
 	}
 	return out
 }

@@ -7,7 +7,7 @@
 package kvstore
 
 import (
-	"fmt"
+	"strconv"
 
 	"skyloft/internal/det"
 )
@@ -79,6 +79,7 @@ func (m *Memcache) Stats() (hits, misses, sets uint64) { return m.hits, m.misses
 // Preload fills the store with n sequential keys ("key-%d").
 func (m *Memcache) Preload(n int) {
 	for i := 0; i < n; i++ {
-		m.Set(fmt.Sprintf("key-%d", i), fmt.Sprintf("value-%d", i))
+		d := strconv.Itoa(i)
+		m.Set("key-"+d, "value-"+d)
 	}
 }

@@ -17,8 +17,10 @@ import (
 // The analyzer permits bodies whose visible effects are order-independent
 // by construction: commutative-associative accumulation into integers
 // (`n++`, `total += d`, `bits |= m`) commutes exactly, unlike float or
-// string accumulation. Everything else must iterate det.SortedKeys(m), or
-// carry a //simlint:allow maporder with a reason.
+// string accumulation. So do writes `m[k] = …` keyed by the range key k
+// into a map the body reads only at [k]: each iteration touches its own
+// entry, and distinct keys never collide. Everything else must iterate
+// det.SortedKeys(m), or carry a //simlint:allow maporder with a reason.
 var MapOrder = &Analyzer{
 	Name:    "maporder",
 	Doc:     "forbid map ranges whose body publishes iteration order; iterate det.SortedKeys instead",
@@ -85,6 +87,7 @@ func isMapType(t types.Type) bool {
 // statement — where the det.SortedKeys fix goes.
 func orderEscape(pass *Pass, rs *ast.RangeStmt) (why string, pos token.Pos) {
 	pos = rs.Pos()
+	keyed := keyedMaps(pass, rs)
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		if why != "" {
 			return false
@@ -116,6 +119,9 @@ func orderEscape(pass *Pass, rs *ast.RangeStmt) (why string, pos token.Pos) {
 		case *ast.AssignStmt:
 			commutative := isCommutativeAssign(st.Tok)
 			for _, lhs := range st.Lhs {
+				if keyed.write(lhs, st.Rhs) {
+					continue
+				}
 				if r := escapingWrite(pass, rs, lhs, commutative); r != "" {
 					why = r
 					break
@@ -125,6 +131,101 @@ func orderEscape(pass *Pass, rs *ast.RangeStmt) (why string, pos token.Pos) {
 		return why == ""
 	})
 	return why, pos
+}
+
+// keyedWrites holds, for one map range, the uses of maps indexed exactly
+// by the range key (m[k]) and the maps the body also uses any other way.
+type keyedWrites struct {
+	pass  *Pass
+	atKey map[*ast.Ident]bool   // m in some m[k]
+	other map[types.Object]bool // maps used other than as m[k]
+}
+
+// keyedMaps collects the range statement's m[k] uses, where k is the key
+// the range statement declares. It returns nil, accepting no keyed write,
+// when the range has no declared key or the body assigns k or takes its
+// address: a rewritten k can make two iterations collide.
+func keyedMaps(pass *Pass, rs *ast.RangeStmt) *keyedWrites {
+	key, ok := rs.Key.(*ast.Ident)
+	if !ok || rs.Tok != token.DEFINE {
+		return nil
+	}
+	k := pass.Info.Defs[key]
+	if k == nil {
+		return nil
+	}
+	kw := &keyedWrites{pass: pass, atKey: map[*ast.Ident]bool{}, other: map[types.Object]bool{}}
+	isKey := func(e ast.Expr) bool {
+		id, ok := unparen(e).(*ast.Ident)
+		return ok && pass.Info.Uses[id] == k
+	}
+	reassigned := false
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.IndexExpr:
+			if m, ok := x.X.(*ast.Ident); ok && isKey(x.Index) && isMapType(pass.Info.TypeOf(m)) {
+				kw.atKey[m] = true
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				reassigned = reassigned || isKey(lhs)
+			}
+		case *ast.IncDecStmt:
+			reassigned = reassigned || isKey(x.X)
+		case *ast.UnaryExpr:
+			reassigned = reassigned || (x.Op == token.AND && isKey(x.X))
+		case *ast.RangeStmt:
+			reassigned = reassigned || (x.Tok == token.ASSIGN && (isKey(x.Key) || isKey(x.Value)))
+		}
+		return true
+	})
+	if reassigned {
+		return nil
+	}
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && !kw.atKey[id] {
+			if obj := pass.Info.Uses[id]; obj != nil && isMapType(obj.Type()) {
+				kw.other[obj] = true
+			}
+		}
+		return true
+	})
+	return kw
+}
+
+// write reports whether assigning lhs (from rhs) is an order-safe keyed
+// write: lhs is exactly m[k] for a map m the body uses only at [k], and no
+// right-hand side appends — values of distinct keys may share a backing
+// array.
+func (kw *keyedWrites) write(lhs ast.Expr, rhs []ast.Expr) bool {
+	if kw == nil {
+		return false
+	}
+	ix, ok := lhs.(*ast.IndexExpr)
+	if !ok {
+		return false
+	}
+	m, ok := ix.X.(*ast.Ident)
+	if !ok || !kw.atKey[m] || kw.other[kw.pass.Info.Uses[m]] {
+		return false
+	}
+	for _, e := range rhs {
+		appends := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+					if b, ok := kw.pass.Info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
+						appends = true
+					}
+				}
+			}
+			return !appends
+		})
+		if appends {
+			return false
+		}
+	}
+	return true
 }
 
 // isCommutativeAssign reports whether the assignment operator folds the old

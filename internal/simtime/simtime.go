@@ -350,39 +350,6 @@ func (c *Clock) peekTime() (Time, bool) {
 	return best, ok
 }
 
-// Drain cancels every pending event, returning all live store slots to the
-// free list, and reports how many it drained. Outstanding handles go stale
-// (Cancel on them reports false). Time, sequence and dispatch counters are
-// untouched — Drain bounds the store, not the clock's identity.
-func (c *Clock) Drain() int {
-	drained := 0
-	for i := 1; i < len(c.nodes); i++ {
-		if c.nodes[i].loc == locFree {
-			continue
-		}
-		c.release(uint32(i))
-		drained++
-	}
-	c.nWheel = 0
-	c.slots = [wheelSlots]uint32{}
-	c.bitmap = [wheelWords]uint64{}
-	c.heap = c.heap[:0]
-	return drained
-}
-
-// Reset drains the queue and rewinds the clock to its initial state: time
-// zero, fresh sequence and dispatch counters, no observer. The pooled node
-// store (and its high-water capacity) is kept, so a reused clock does not
-// reallocate its slab.
-func (c *Clock) Reset() {
-	c.Drain()
-	c.now = 0
-	c.seq = 0
-	c.nEvent = 0
-	c.baseTick = 0
-	c.observer = nil
-}
-
 // scan finds the first occupied wheel slot at or after the window base,
 // returning the slot index and its distance in ticks from baseTick. Must
 // only be called with nWheel > 0.

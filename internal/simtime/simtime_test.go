@@ -430,86 +430,6 @@ func replayProgram(c clockOps, prog []byte) []int64 {
 	return append(log, -int64(c.now()), -int64(c.dispatched()), -int64(c.pending()))
 }
 
-// Drain must return every live node — pending, mid-wheel, and overflow
-// alike — to the free list so a drained clock leaks no store slots.
-func TestClockDrainReturnsAllNodes(t *testing.T) {
-	c := NewClock()
-	var evs []Event
-	for i := 0; i < 200; i++ {
-		at := Time(i * 100)
-		if i%3 == 0 {
-			at += 100 * Millisecond // land in overflow
-		}
-		evs = append(evs, c.At(at, func() {}))
-	}
-	for i := 0; i < 50; i++ {
-		c.Cancel(evs[i*4])
-	}
-	for i := 0; i < 30; i++ {
-		c.Step()
-	}
-	live := c.Pending()
-	if live == 0 {
-		t.Fatal("test needs pending events to drain")
-	}
-	if got := c.Drain(); got != live {
-		t.Fatalf("Drain() = %d, want %d", got, live)
-	}
-	if c.Pending() != 0 {
-		t.Fatalf("Pending() = %d after Drain", c.Pending())
-	}
-	if c.StoreFree() != c.StoreSize() {
-		t.Fatalf("store leak: StoreFree %d != StoreSize %d after Drain",
-			c.StoreFree(), c.StoreSize())
-	}
-	// Stale handles from before the drain must be inert.
-	for _, ev := range evs {
-		if c.Cancel(ev) {
-			t.Fatal("stale pre-drain handle cancelled something")
-		}
-	}
-}
-
-// Reset must rewind a clock for reuse while keeping its pooled slab, and a
-// reset clock must replay a workload bit-identically to a fresh one.
-func TestClockResetReplaysFresh(t *testing.T) {
-	workload := func(c *Clock) []Time {
-		var fired []Time
-		for i := 0; i < 64; i++ {
-			c.At(Time(i*37%640), func() { fired = append(fired, c.Now()) })
-		}
-		for c.Step() {
-		}
-		return fired
-	}
-	fresh := NewClock()
-	want := workload(fresh)
-
-	used := NewClock()
-	for i := 0; i < 100; i++ {
-		used.At(Time(i)*Millisecond, func() {})
-	}
-	for i := 0; i < 40; i++ {
-		used.Step()
-	}
-	used.Reset()
-	if used.StoreFree() != used.StoreSize() {
-		t.Fatalf("store leak after Reset: free %d size %d", used.StoreFree(), used.StoreSize())
-	}
-	if used.Now() != 0 || used.Dispatched() != 0 {
-		t.Fatalf("Reset left now=%v dispatched=%d", used.Now(), used.Dispatched())
-	}
-	got := workload(used)
-	if len(got) != len(want) {
-		t.Fatalf("reset clock fired %d, fresh fired %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("divergence at %d: reset=%v fresh=%v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestTimeString(t *testing.T) {
 	cases := []struct {
 		t    Time
