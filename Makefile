@@ -7,9 +7,10 @@ GO ?= go
 # makes -race meaningful), a short benchmark smoke to catch accidental
 # allocation regressions in the event core, the observability smoke, and
 # the benchmark regression gate against the committed BENCH_skyloft.json,
-# and a few seconds of native fuzzing per fuzz target.
+# a few seconds of native fuzzing per fuzz target, and the host-time
+# benchmark's own module.
 .PHONY: check
-check: vet build lint race bench-smoke trace-smoke live-smoke causal-smoke bench-gate chaos oversub fuzz-smoke
+check: vet build lint race bench-smoke trace-smoke live-smoke causal-smoke bench-gate chaos oversub fuzz-smoke hostbench-check
 
 .PHONY: vet
 vet:
@@ -18,6 +19,13 @@ vet:
 .PHONY: build
 build:
 	$(GO) build ./...
+
+# hostbench/ is a separate Go module (it replaces skyloft with ../), so the
+# root `go build ./...` and `go test ./...` never compile it. Vet and test it
+# in place so an API change that breaks the benchmark harness fails here.
+.PHONY: hostbench-check
+hostbench-check:
+	cd hostbench && $(GO) vet ./... && $(GO) test ./...
 
 # Determinism + observer-purity lint: cmd/simlint statically enforces the
 # reproducibility invariants (no wall clock, no global rand, no unordered
@@ -71,7 +79,9 @@ bench-smoke:
 # target per invocation, so each target is listed as name:package.
 FUZZ_TARGETS := \
 	FuzzClockMatchesHeap:./internal/simtime/ \
-	FuzzLSMMatchesReference:./internal/apps/kvstore/
+	FuzzLSMMatchesReference:./internal/apps/kvstore/ \
+	FuzzMemcacheProto:./internal/apps/memcacheproto/ \
+	FuzzRocksDBProto:./internal/apps/rocksdbproto/
 
 .PHONY: fuzz-smoke
 fuzz-smoke:

@@ -64,7 +64,7 @@ func runServer(preemptive bool, rate float64) {
 			db.Scan(fmt.Sprintf("key-%08d", n), fmt.Sprintf("key-%08d", n+500), 500)
 		}
 		e.Run(p.Service)
-	})
+	}, nil)
 
 	gen := loadgen.New(rate, server.RocksDBClasses(), 1024, 42)
 	server.Feed(gen, machine.Clock, nic, 0)

@@ -45,14 +45,12 @@ func main() {
 		Central: shinjuku.New(25 * simtime.Microsecond),
 		Costs:   core.SkyloftCosts(machine.Cost),
 		CoreAlloc: &core.CoreAllocConfig{
-			LCApp:               0,
 			CongestionThreshold: 20 * simtime.Microsecond,
-			CheckInterval:       5 * simtime.Microsecond,
 			MaxBECores:          2,
 		},
-		Lease:     &lease.Config{}, // defaults: 50µs grace, 195µs reclaim bound
+		Lease:     true,
 		TimerMode: core.TimerNone,
-		Hardening: &core.HardeningConfig{},
+		Harden:    true,
 	})
 	defer engine.Shutdown()
 
@@ -109,7 +107,7 @@ func main() {
 
 	mgr := engine.LeaseManager()
 	hist := mgr.ReclaimHist()
-	bound := mgr.Config().ReclaimBound()
+	bound := lease.ReclaimBound
 	fmt.Printf("leases:   %d granted, %d reclaimed (%d cooperative, %d forced, %d evictions)\n",
 		mgr.Grants(), mgr.Reclaims(), mgr.CooperativeReturns(), mgr.ForcedRevocations(), mgr.Evictions())
 	fmt.Printf("reclaim:  p50=%.1fµs p99=%.1fµs max=%.1fµs (bound %v)\n",

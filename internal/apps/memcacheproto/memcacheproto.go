@@ -93,7 +93,7 @@ func ParseRequest(msg []byte) (Request, error) {
 		if err != nil || n < 0 {
 			return Request{}, fmt.Errorf("memcacheproto: bad byte count")
 		}
-		if len(rest) < n+2 || !bytes.Equal(rest[n:n+2], crlf) {
+		if n > len(rest)-2 || !bytes.Equal(rest[n:n+2], crlf) {
 			return Request{}, fmt.Errorf("memcacheproto: data block malformed")
 		}
 		return Request{
@@ -154,7 +154,7 @@ func ParseResponse(msg []byte) (Response, error) {
 				return resp, fmt.Errorf("memcacheproto: malformed VALUE line")
 			}
 			n, err := strconv.Atoi(string(fields[3]))
-			if err != nil || n < 0 || len(rest) < n+2 {
+			if err != nil || n < 0 || n > len(rest)-2 {
 				return resp, fmt.Errorf("memcacheproto: bad VALUE length")
 			}
 			resp.Values[string(fields[1])] = append([]byte(nil), rest[:n]...)

@@ -3,6 +3,7 @@ package memcacheproto
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -115,4 +116,28 @@ func TestResponseValueWithCRLFInData(t *testing.T) {
 	if string(resp.Values["k"]) != "a\r\nb" {
 		t.Fatalf("binary-safe value lost: %q", resp.Values["k"])
 	}
+}
+
+// FuzzMemcacheProto feeds arbitrary bytes to both parsers: neither may
+// panic, and a request that parses must survive FormatRequest unchanged.
+func FuzzMemcacheProto(f *testing.F) {
+	f.Add([]byte("get a b\r\n"))
+	f.Add([]byte("set k 7 -1 3\r\nv\r\n\r\n"))
+	f.Add([]byte("delete k\r\n"))
+	f.Add([]byte("VALUE k 0 2\r\nab\r\nEND\r\n"))
+	f.Fuzz(func(t *testing.T, msg []byte) {
+		ParseResponse(msg)
+		r, err := ParseRequest(msg)
+		if err != nil {
+			return
+		}
+		wire := FormatRequest(r)
+		back, err := ParseRequest(wire)
+		if err != nil {
+			t.Fatalf("re-encoded %+v as %q, which does not parse: %v", r, wire, err)
+		}
+		if !reflect.DeepEqual(back, r) {
+			t.Fatalf("round trip through %q: got %+v, want %+v", wire, back, r)
+		}
+	})
 }

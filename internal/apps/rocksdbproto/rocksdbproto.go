@@ -98,7 +98,7 @@ func ParseRequest(msg []byte) (Request, error) {
 		if err != nil || n < 0 {
 			return Request{}, fmt.Errorf("rocksdbproto: bad PUT length")
 		}
-		if len(rest) < n+2 || !bytes.Equal(rest[n:n+2], crlf) {
+		if n > len(rest)-2 || !bytes.Equal(rest[n:n+2], crlf) {
 			return Request{}, fmt.Errorf("rocksdbproto: PUT data malformed")
 		}
 		return Request{Op: Put, Key: string(fields[1]), Data: append([]byte(nil), rest[:n]...)}, nil

@@ -3,6 +3,7 @@ package rocksdbproto
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -96,4 +97,28 @@ func TestServerGetScanPut(t *testing.T) {
 	if gets != 3 || scans != 1 || puts != 1 || errs != 1 {
 		t.Fatalf("stats %d/%d/%d/%d", gets, scans, puts, errs)
 	}
+}
+
+// FuzzRocksDBProto feeds arbitrary bytes to both parsers: neither may
+// panic, and a request that parses must survive FormatRequest unchanged.
+func FuzzRocksDBProto(f *testing.F) {
+	f.Add([]byte("GET key-00000001\r\n"))
+	f.Add([]byte("SCAN key-00000001 500\r\n"))
+	f.Add([]byte("PUT k 4\r\nab\r\n\r\n"))
+	f.Add([]byte("ROWS 2\r\n1 a\r\n2 bc\r\n"))
+	f.Fuzz(func(t *testing.T, msg []byte) {
+		ParseResponse(msg)
+		r, err := ParseRequest(msg)
+		if err != nil {
+			return
+		}
+		wire := FormatRequest(r)
+		back, err := ParseRequest(wire)
+		if err != nil {
+			t.Fatalf("re-encoded %+v as %q, which does not parse: %v", r, wire, err)
+		}
+		if !reflect.DeepEqual(back, r) {
+			t.Fatalf("round trip through %q: got %+v, want %+v", wire, back, r)
+		}
+	})
 }

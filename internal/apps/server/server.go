@@ -51,21 +51,16 @@ type Server struct {
 }
 
 // NewThreadPerRequest attaches a thread-per-request server to all rings of
-// nic, spawning handler threads on sys.
-func NewThreadPerRequest(sys apps.System, nic *netsim.NIC, rec *loadgen.Recorder, h Handler) *Server {
-	return NewThreadPerRequestObs(sys, nic, rec, h, nil)
-}
-
-// NewThreadPerRequestObs is NewThreadPerRequest with an optional causal
-// tracer: each request binds to its fresh thread at the delivery instant
-// (the handler body runs at a later event, so the bind precedes the first
+// nic, spawning handler threads on sys. With a non-nil causal tracer ct,
+// each request binds to its fresh thread at the delivery instant (the
+// handler body runs at a later event, so the bind precedes the first
 // dispatch) and replies when the handler returns.
-func NewThreadPerRequestObs(sys apps.System, nic *netsim.NIC, rec *loadgen.Recorder,
+func NewThreadPerRequest(sys apps.System, nic *netsim.NIC, rec *loadgen.Recorder,
 	h Handler, ct CausalTracer) *Server {
 	s := &Server{Rec: rec, nic: nic}
 	for i := 0; i < nic.Rings(); i++ {
 		nic.OnRing(i, func(p netsim.Packet) {
-			t := sys.Start(reqName(p), func(e sched.Env) {
+			t := sys.Start("req", func(e sched.Env) {
 				h(e, p)
 				now := e.Now()
 				rec.Record(now, p.Arrive, p.Service, p.Class)
@@ -83,17 +78,10 @@ func NewThreadPerRequestObs(sys apps.System, nic *netsim.NIC, rec *loadgen.Recor
 
 // NewWorkerPool attaches a worker-pool server: workers permanent threads
 // popping a shared ring (run-to-completion, the Linux CFS baseline of
-// Fig. 7a).
+// Fig. 7a). With a non-nil causal tracer ct, each request binds to the pool
+// worker that pops it (mid-run — the interval the packet sat in the shared
+// ring is ingress queueing) and replies when the handler finishes.
 func NewWorkerPool(sys apps.System, w netsim.Waker, nic *netsim.NIC, rec *loadgen.Recorder,
-	workers int, h Handler) *Server {
-	return NewWorkerPoolObs(sys, w, nic, rec, workers, h, nil)
-}
-
-// NewWorkerPoolObs is NewWorkerPool with an optional causal tracer: each
-// request binds to the pool worker that pops it (mid-run — the interval the
-// packet sat in the shared ring is ingress queueing) and replies when the
-// handler finishes.
-func NewWorkerPoolObs(sys apps.System, w netsim.Waker, nic *netsim.NIC, rec *loadgen.Recorder,
 	workers int, h Handler, ct CausalTracer) *Server {
 	s := &Server{Rec: rec, nic: nic}
 	ring := netsim.NewRing(w)
@@ -104,9 +92,6 @@ func NewWorkerPoolObs(sys apps.System, w netsim.Waker, nic *netsim.NIC, rec *loa
 		sys.Start(fmt.Sprintf("pool-worker-%d", i), func(e sched.Env) {
 			for {
 				p := ring.Pop(e)
-				if p.Class < 0 {
-					return // poison pill for shutdown
-				}
 				if ct != nil {
 					ct.BindPacket(p.Seq, e.Self().ID, e.Now())
 				}
@@ -120,11 +105,6 @@ func NewWorkerPoolObs(sys apps.System, w netsim.Waker, nic *netsim.NIC, rec *loa
 		})
 	}
 	return s
-}
-
-func reqName(p netsim.Packet) string {
-	// Avoid fmt in the hot path of large simulations.
-	return "req"
 }
 
 // Feed connects a load generator to the NIC: every generated request
@@ -184,16 +164,11 @@ func (q *quickReq) done(now simtime.Time) {
 // NIC (the Fig. 7 synthetic experiments, where the load generator runs on
 // the dispatcher core): each request becomes a fresh thread. Systems that
 // implement apps.QuickSystem (the Skyloft engine) run requests without a
-// backing goroutine, through a pooled completion record.
+// backing goroutine, through a pooled completion record. With a non-nil
+// causal tracer ct, each injected request opens a journey keyed by its
+// loadgen sequence number, binds to its thread at the injection instant and
+// replies through the completion record.
 func FeedDirect(g *loadgen.Gen, clock loadgen.Clock, sys apps.System,
-	rec *loadgen.Recorder, limit uint64) {
-	FeedDirectObs(g, clock, sys, rec, limit, nil)
-}
-
-// FeedDirectObs is FeedDirect with an optional causal tracer: each injected
-// request opens a journey keyed by its loadgen sequence number, binds to its
-// thread at the injection instant and replies through the completion record.
-func FeedDirectObs(g *loadgen.Gen, clock loadgen.Clock, sys apps.System,
 	rec *loadgen.Recorder, limit uint64, ct CausalTracer) {
 	if qs, ok := sys.(apps.QuickSystem); ok {
 		var pool quickReqPool
@@ -228,14 +203,6 @@ func FeedDirectObs(g *loadgen.Gen, clock loadgen.Clock, sys apps.System,
 			ct.BindDirect(req.Seq, t.ID)
 		}
 	})
-}
-
-// Drain pushes poison pills so worker-pool threads exit (call after the
-// load generator stops and the ring empties).
-func Drain(nic *netsim.NIC, workers int) {
-	for i := 0; i < workers; i++ {
-		nic.Deliver(netsim.Packet{Class: -1})
-	}
 }
 
 // USRClasses is Memcached's USR workload (§5.3): 99.8% GETs / 0.2% SETs

@@ -25,7 +25,7 @@ func TestThreadPerRequestServesAllPackets(t *testing.T) {
 	app := e.NewApp("srv")
 	rec := loadgen.NewRecorder(0)
 	nic := netsim.NewNIC(m.Clock, m.Cost, 2)
-	server.NewThreadPerRequest(app, nic, rec, server.RunService)
+	server.NewThreadPerRequest(app, nic, rec, server.RunService, nil)
 
 	gen := loadgen.New(100_000, server.USRClasses(), 64, 1)
 	server.Feed(gen, m.Clock, nic, 500)
@@ -53,7 +53,7 @@ func TestWorkerPoolServesAllPackets(t *testing.T) {
 	defer k.Shutdown()
 	rec := loadgen.NewRecorder(0)
 	nic := netsim.NewNIC(m.Clock, m.Cost, 3)
-	server.NewWorkerPool(k, k, nic, rec, 3, server.RunService)
+	server.NewWorkerPool(k, k, nic, rec, 3, server.RunService, nil)
 
 	gen := loadgen.New(50_000, server.DispersiveClasses(), 64, 2)
 	server.Feed(gen, m.Clock, nic, 300)
@@ -75,7 +75,7 @@ func TestFeedDirectSpawnsRequestThreads(t *testing.T) {
 	app := e.NewApp("srv")
 	rec := loadgen.NewRecorder(0)
 	gen := loadgen.New(200_000, server.USRClasses(), 4, 3)
-	server.FeedDirect(gen, m.Clock, app, rec, 200)
+	server.FeedDirect(gen, m.Clock, app, rec, 200, nil)
 	e.Run(simtime.Second)
 	if rec.Done != 200 {
 		t.Fatalf("served %d/200", rec.Done)

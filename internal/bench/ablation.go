@@ -97,7 +97,7 @@ func AblationTimerMode(loadFrac float64, dur simtime.Duration, seed uint64) []Ti
 		app := e.NewApp("rocksdb")
 		rec := loadgen.NewRecorder(20 * simtime.Millisecond)
 		nic := netsim.NewNIC(m.Clock, m.Cost, e.Workers())
-		server.NewThreadPerRequest(app, nic, rec, makeHandler("rocksdb"))
+		server.NewThreadPerRequest(app, nic, rec, makeHandler("rocksdb"), nil)
 		gen := loadgen.New(load, server.RocksDBClasses(), 4096, seed)
 		server.Feed(gen, m.Clock, nic, 0)
 		e.Run(simtime.Time(20*simtime.Millisecond + dur))
@@ -142,7 +142,7 @@ func AblationNetMode(loadFrac float64, dur simtime.Duration, seed uint64) []NetM
 		app := e.NewApp("memcached")
 		rec := loadgen.NewRecorder(20 * simtime.Millisecond)
 		nic := netsim.NewNIC(m.Clock, m.Cost, e.Workers())
-		server.NewThreadPerRequest(app, nic, rec, makeHandler("memcached"))
+		server.NewThreadPerRequest(app, nic, rec, makeHandler("memcached"), nil)
 		mode := "polling"
 		if irq {
 			e.EnableNetIRQ(nic)
@@ -187,7 +187,7 @@ func AblationEngineModel(loadFrac float64, dur simtime.Duration, seed uint64) (p
 	app := e.NewApp("lc")
 	rec := loadgen.NewRecorder(20 * simtime.Millisecond)
 	gen := loadgen.New(load, server.DispersiveClasses(), 1024, seed)
-	server.FeedDirect(gen, m.Clock, app, rec, 0)
+	server.FeedDirect(gen, m.Clock, app, rec, 0, nil)
 	e.Run(simtime.Time(20*simtime.Millisecond + dur))
 	gen.Stop()
 	perCPU = LoadPoint{

@@ -74,8 +74,8 @@ func chaosRun(cfgName string, plan *faults.Plan, seed uint64, dur simtime.Durati
 
 	cfg := core.Config{
 		Machine: m, Trace: tr, Seed: seed,
-		CPUs:      cpuList(4),
-		Hardening: &core.HardeningConfig{},
+		CPUs:   cpuList(4),
+		Harden: true,
 	}
 	var mode string
 	switch cfgName {

@@ -131,7 +131,7 @@ func RunNetApp(cfg NetConfig) LoadPoint {
 		nic.SetObserver(cfg.ct)
 		ctr = cfg.ct
 	}
-	server.NewThreadPerRequestObs(app, nic, rec, makeHandler(cfg.App), ctr)
+	server.NewThreadPerRequest(app, nic, rec, makeHandler(cfg.App), ctr)
 
 	gen := loadgen.New(cfg.Rate, netClasses(cfg.App), 4096, cfg.Seed)
 	server.Feed(gen, m.Clock, nic, 0)

@@ -139,7 +139,7 @@ func (r *OversubResult) fillLease(mgr *lease.Manager) {
 	r.ReclaimP50Us = h.P50().Micros()
 	r.ReclaimP99Us = h.P99().Micros()
 	r.ReclaimMaxUs = h.Max().Micros()
-	r.ReclaimBoundUs = mgr.Config().ReclaimBound().Micros()
+	r.ReclaimBoundUs = lease.ReclaimBound.Micros()
 }
 
 // oversubAntagonist is preset 1: 2× oversubscription inside one engine. A
@@ -158,14 +158,12 @@ func oversubAntagonist(plan *faults.Plan, seed uint64, dur simtime.Duration) (*O
 		Central:   shinjuku.New(25 * simtime.Microsecond),
 		Costs:     core.SkyloftCosts(m.Cost),
 		TimerMode: core.TimerNone,
-		Hardening: &core.HardeningConfig{},
+		Harden:    true,
 		CoreAlloc: &core.CoreAllocConfig{
-			LCApp:               0,
 			CongestionThreshold: 20 * simtime.Microsecond,
-			CheckInterval:       5 * simtime.Microsecond,
 			MaxBECores:          2,
 		},
-		Lease: &lease.Config{},
+		Lease: true,
 	})
 	defer e.Shutdown()
 
@@ -362,7 +360,7 @@ func oversubMultiRuntime(plan *faults.Plan, seed uint64, dur simtime.Duration) (
 		Central:   shinjuku.New(25 * simtime.Microsecond),
 		Costs:     core.SkyloftCosts(m.Cost),
 		TimerMode: core.TimerNone,
-		Hardening: &core.HardeningConfig{},
+		Harden:    true,
 	})
 	defer e.Shutdown()
 	k := ksched.New(ksched.Config{
@@ -376,7 +374,7 @@ func oversubMultiRuntime(plan *faults.Plan, seed uint64, dur simtime.Duration) (
 	tenant := e.NewApp("linux-tenant") // parked kthreads the broker lends to
 
 	broker := &oversubBroker{m: m, e: e, k: k, tenant: tenant, lender: lc.ID}
-	broker.mgr = lease.NewManager(lease.Config{}, m.Clock, broker, tr)
+	broker.mgr = lease.NewManager(m.Clock, broker, tr)
 	broker.mgr.SetBindingAudit(func(core int) (int, bool) {
 		if k.Offline(broker.kidxOf(core)) {
 			return 0, false // mid-handoff: kmod ownership is in transition

@@ -87,9 +87,7 @@ func runSyntheticCentral(cfg SynthConfig) LoadPoint {
 	var alloc *core.CoreAllocConfig
 	if cfg.WithBE {
 		alloc = &core.CoreAllocConfig{
-			LCApp:               0,
 			CongestionThreshold: 10 * simtime.Microsecond,
-			CheckInterval:       5 * simtime.Microsecond,
 			MaxBECores:          Fig7Workers, // BE may use every idle worker
 		}
 	}
@@ -133,7 +131,7 @@ func runSyntheticCentral(cfg SynthConfig) LoadPoint {
 		cfg.ct.SetDeliveryProber(e)
 		ctr = cfg.ct
 	}
-	server.FeedDirectObs(gen, m.Clock, lc, rec, 0, ctr)
+	server.FeedDirect(gen, m.Clock, lc, rec, 0, ctr)
 	e.Run(simtime.Time(cfg.Warmup + cfg.Duration))
 	gen.Stop()
 
@@ -161,7 +159,7 @@ func runSyntheticLinux(cfg SynthConfig) LoadPoint {
 
 	rec := loadgen.NewRecorder(cfg.Warmup)
 	nic := netsim.NewNIC(m.Clock, m.Cost, ncores)
-	server.NewWorkerPool(k, k, nic, rec, ncores, server.RunService)
+	server.NewWorkerPool(k, k, nic, rec, ncores, server.RunService, nil)
 
 	var be []*sched.Thread
 	if cfg.WithBE {

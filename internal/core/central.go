@@ -1,7 +1,6 @@
 package core
 
 import (
-	"skyloft/internal/det"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
 	"skyloft/internal/trace"
@@ -15,9 +14,9 @@ import (
 
 // allocState tracks the Shenango-style core allocator.
 type allocState struct {
-	beQueues map[int][]*sched.Thread // per-BE-app pending tasks
-	beOnCore int                     // workers currently granted to BE apps
-	preempts uint64                  // BE cores reclaimed
+	beQueues [][]*sched.Thread // per-BE-app pending tasks, indexed by app ID
+	beOnCore int               // workers currently granted to BE apps
+	preempts uint64            // BE cores reclaimed
 	grants   uint64
 }
 
@@ -25,11 +24,8 @@ type allocState struct {
 // app's side queue when core allocation is active; everything else goes to
 // the dispatcher's global queue.
 func (e *Engine) centralSubmit(t *sched.Thread, flags EnqueueFlags) {
-	if ca := e.cfg.CoreAlloc; ca != nil && t.App != ca.LCApp {
-		if e.allocState.beQueues == nil {
-			e.allocState.beQueues = make(map[int][]*sched.Thread)
-		}
-		e.allocState.beQueues[t.App] = append(e.allocState.beQueues[t.App], t)
+	if e.cfg.CoreAlloc != nil && t.App != LCApp {
+		e.beEnqueue(t)
 		e.qUp()
 		e.pokeDispatcher()
 		return
@@ -38,6 +34,17 @@ func (e *Engine) centralSubmit(t *sched.Thread, flags EnqueueFlags) {
 	e.central.Enqueue(t, flags)
 	e.qUp()
 	e.pokeDispatcher()
+}
+
+// beEnqueue appends t to its best-effort app's side queue, growing the
+// per-app slice on the first task of a new app.
+func (e *Engine) beEnqueue(t *sched.Thread) {
+	qs := e.allocState.beQueues
+	for len(qs) <= t.App {
+		qs = append(qs, nil)
+	}
+	qs[t.App] = append(qs[t.App], t)
+	e.allocState.beQueues = qs
 }
 
 // pokeDispatcher arms one pass of the dispatcher's spin loop.
@@ -121,8 +128,8 @@ func (e *Engine) quantumCheck(w *coreCtx, t *sched.Thread, seq uint64) {
 // configured mechanism, arming the hardening layer's retry when enabled.
 func (e *Engine) sendPreempt(w *coreCtx) {
 	e.sendPreemptOnce(w)
-	if e.hardenOn {
-		e.armPreemptRetry(w, w.preemptAim, e.harden.RetryTimeout, e.harden.RetryMax)
+	if e.cfg.Harden {
+		e.armPreemptRetry(w, w.preemptAim, preemptRetryTimeout, preemptRetryMax)
 	}
 }
 
@@ -186,7 +193,7 @@ func (e *Engine) preemptWorker(c *coreCtx, ranFor simtime.Duration, _ any) {
 		c.beMode = false
 		e.allocState.beOnCore--
 		e.allocState.preempts++
-		e.allocState.beQueues[t.App] = append(e.allocState.beQueues[t.App], t)
+		e.beEnqueue(t)
 		e.leaseReturn(c)
 	} else {
 		t.EnqueuedAt = e.m.Now()
@@ -215,18 +222,15 @@ func (e *Engine) workerBecameIdle(c *coreCtx) {
 // startCoreAllocator arms the periodic congestion check.
 func (e *Engine) startCoreAllocator() {
 	ca := e.cfg.CoreAlloc
-	if ca.CheckInterval <= 0 {
-		ca.CheckInterval = 5 * simtime.Microsecond
-	}
 	if ca.MaxBECores == 0 {
 		ca.MaxBECores = len(e.cores) - 1
 	}
 	var check func()
 	check = func() {
 		e.allocCheck()
-		e.m.Clock.After(ca.CheckInterval, check)
+		e.m.Clock.After(allocCheckInterval, check)
 	}
-	e.m.Clock.After(ca.CheckInterval, check)
+	e.m.Clock.After(allocCheckInterval, check)
 }
 
 // allocCheck reclaims BE cores when the LC queue is congested.
@@ -269,11 +273,8 @@ func (e *Engine) maybeGrantBE(w *coreCtx) bool {
 	if e.central.Len() > 0 {
 		return false
 	}
-	// Deterministic grant order: lowest BE app ID first. A bare map range
-	// here handed the core to whichever app Go's randomized iteration
-	// yielded first — replay-breaking once two BE apps have work queued.
-	for _, app := range det.SortedKeys(e.allocState.beQueues) {
-		q := e.allocState.beQueues[app]
+	// Deterministic grant order: lowest BE app ID first.
+	for app, q := range e.allocState.beQueues {
 		if len(q) == 0 {
 			continue
 		}
@@ -287,8 +288,8 @@ func (e *Engine) maybeGrantBE(w *coreCtx) bool {
 			// so the borrower's kthread may bind, then open the lease. A
 			// grant on a non-idle lease is a protocol bug, not a runtime
 			// condition.
-			e.mod.MarkLeased(w.hwc.ID, ca.LCApp, t.App)
-			if err := e.leaseMgr.Grant(w.idx, ca.LCApp, t.App); err != nil {
+			e.mod.MarkLeased(w.hwc.ID, LCApp, t.App)
+			if err := e.leaseMgr.Grant(w.idx, LCApp, t.App); err != nil {
 				panic("core: " + err.Error())
 			}
 		}

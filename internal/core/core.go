@@ -23,7 +23,6 @@ import (
 	"skyloft/internal/proc"
 	"skyloft/internal/rng"
 	"skyloft/internal/sched"
-	"skyloft/internal/shm"
 	"skyloft/internal/simtime"
 	"skyloft/internal/stats"
 	"skyloft/internal/trace"
@@ -70,22 +69,25 @@ const PreemptUserVector uint8 = 61
 // baselines).
 const legacyPreemptVector uint8 = 0xFD
 
-// CoreAllocConfig enables Shenango-style core allocation between a
-// latency-critical application and best-effort applications in the
-// centralized model (§5.2 "multiple workloads").
+// CoreAllocConfig enables Shenango-style core allocation between the
+// latency-critical application (app LCApp) and best-effort applications
+// (every other app) in the centralized model (§5.2 "multiple workloads").
 type CoreAllocConfig struct {
-	// LCApp is the latency-critical application's ID; all others are
-	// best-effort.
-	LCApp int
 	// CongestionThreshold: if the oldest queued LC task has waited longer
 	// than this, a best-effort core is reclaimed.
 	CongestionThreshold simtime.Duration
-	// CheckInterval is how often the dispatcher evaluates congestion
-	// (Shenango uses 5 µs).
-	CheckInterval simtime.Duration
-	// MaxBECores caps cores concurrently granted to best-effort apps.
+	// MaxBECores caps cores concurrently granted to best-effort apps
+	// (0: all workers but one).
 	MaxBECores int
 }
+
+// LCApp is the latency-critical application's ID under core allocation:
+// the first app registered. All others are best-effort.
+const LCApp = 0
+
+// allocCheckInterval is how often the dispatcher evaluates congestion
+// under core allocation (Shenango uses 5 µs).
+const allocCheckInterval = 5 * simtime.Microsecond
 
 // Config assembles an Engine.
 type Config struct {
@@ -111,16 +113,16 @@ type Config struct {
 	Trace     *trace.Ring
 	CoreAlloc *CoreAllocConfig
 	Seed      uint64
-	// Hardening, when non-nil, enables the fault-tolerance layer: the
-	// per-core watchdog, UINTR notification rescans, and preemption-IPI
-	// retry-with-backoff (harden.go). Nil adds no events to a run.
-	Hardening *HardeningConfig
-	// Lease, when non-nil, runs best-effort core grants through the
-	// explicit lending/reclaim protocol (lease_client.go): every grant
-	// becomes a revocable lease whose reclaim latency is bounded by
-	// Lease.ReclaimBound even when the borrower stalls or drops IPIs.
-	// Requires Centralized mode. Nil keeps the bare allocator behaviour.
-	Lease *lease.Config
+	// Harden enables the fault-tolerance layer: the per-core watchdog,
+	// UINTR notification rescans, and preemption-IPI retry-with-backoff
+	// (harden.go). Off adds no events to a run.
+	Harden bool
+	// Lease runs best-effort core grants through the explicit
+	// lending/reclaim protocol (lease_client.go): every grant becomes a
+	// revocable lease whose reclaim latency is bounded by
+	// lease.ReclaimBound even when the borrower stalls or drops IPIs.
+	// Requires Centralized mode. Off keeps the bare allocator behaviour.
+	Lease bool
 }
 
 // App is one application scheduled by Skyloft.
@@ -128,8 +130,10 @@ type App struct {
 	ID   int
 	Name string
 	e    *Engine
-	meta *shm.AppMeta
-	live int // live threads
+	// kthreads[core] is the TID of the app's kernel thread bound to hw
+	// core ID core (0 for cores the engine does not manage) — the handle
+	// the kernel module switches to on an inter-application switch.
+	kthreads []int
 }
 
 // Engine is the Skyloft scheduler instance.
@@ -147,7 +151,6 @@ type Engine struct {
 	special *coreCtx   // dispatcher (Centralized) or utimer core, if any
 
 	mod *kmod.Module
-	seg *shm.Segment
 
 	apps   []*App
 	nextID int
@@ -185,8 +188,6 @@ type Engine struct {
 	runqHighWater int64
 
 	// hardening state (harden.go)
-	hardenOn    bool
-	harden      HardeningConfig
 	hardenStats HardeningStats
 
 	// centralized-mode state (central.go)
@@ -405,8 +406,7 @@ func New(cfg Config) *Engine {
 		mode:       cfg.Mode,
 		policy:     cfg.Policy,
 		central:    cfg.Central,
-		mod:        kmod.New(cfg.Machine, cfg.Machine.Cost),
-		seg:        shm.NewSegment(1 << 16),
+		mod:        kmod.New(cfg.Machine.Cost),
 		rand:       rng.New(cfg.Seed ^ 0x5EED),
 		WakeupHist: stats.NewHist(),
 		tr:         cfg.Trace,
@@ -498,15 +498,13 @@ func New(cfg Config) *Engine {
 	if e.mode == Centralized && cfg.CoreAlloc != nil {
 		e.startCoreAllocator()
 	}
-	if cfg.Lease != nil {
+	if cfg.Lease {
 		if e.mode != Centralized {
 			panic("core: Config.Lease requires Centralized mode")
 		}
 		e.startLeaseManager()
 	}
-	if cfg.Hardening != nil {
-		e.hardenOn = true
-		e.harden = cfg.Hardening.withDefaults()
+	if cfg.Harden {
 		e.startWatchdog()
 	}
 	return e
@@ -559,7 +557,7 @@ func (e *Engine) UINTRDeliveredAt(cpu int) simtime.Time {
 // threads on every isolated core (the daemon path); later apps park theirs
 // (§4.1), in line with the Single Binding Rule.
 func (e *Engine) NewApp(name string) *App {
-	a := &App{ID: len(e.apps), Name: name, e: e, meta: e.seg.RegisterApp(name)}
+	a := &App{ID: len(e.apps), Name: name, e: e, kthreads: make([]int, len(e.m.Cores))}
 	for _, c := range e.cores {
 		var kt *kmod.KThread
 		if a.ID == 0 {
@@ -568,7 +566,7 @@ func (e *Engine) NewApp(name string) *App {
 		} else {
 			kt = e.mod.ParkOnCPU(a.ID, c.hwc.ID)
 		}
-		a.meta.KThreadTIDs[c.hwc.ID] = kt.TID
+		a.kthreads[c.hwc.ID] = kt.TID
 	}
 	e.apps = append(e.apps, a)
 	e.appCPU = append(e.appCPU, 0)
@@ -600,7 +598,6 @@ func (a *App) StartQuick(name string, service simtime.Duration, onDone func(now 
 	}
 	u.liveIdx = len(e.live)
 	e.live = append(e.live, u)
-	a.live++
 	t.State = sched.Runnable
 	e.submit(t, EnqNew)
 	return t
@@ -612,7 +609,7 @@ func (a *App) Engine() *Engine { return a.e }
 // KThreadTID reports the app's kernel thread on hw core id (bound for app
 // 0, parked otherwise) — the handle a cross-runtime lease broker passes to
 // LendWorker to switch a lent core to the borrower.
-func (a *App) KThreadTID(core int) int { return a.meta.KThreadTIDs[core] }
+func (a *App) KThreadTID(core int) int { return a.kthreads[core] }
 
 // getUthread pops a recycled uthread from the freelist (or builds a fresh
 // one with its once-per-slot closures) and resets the embedded descriptor
@@ -668,7 +665,6 @@ func (e *Engine) newThread(a *App, name string, body sched.Func) *sched.Thread {
 	u.p = e.procs.Get(name, u.runBody)
 	u.liveIdx = len(e.live)
 	e.live = append(e.live, u)
-	a.live++
 	return t
 }
 
@@ -818,12 +814,10 @@ func (e *Engine) startTask(c *coreCtx, t *sched.Thread) {
 // appSwitch performs the kernel-thread swap for cross-application switches
 // and returns its cost.
 func (e *Engine) appSwitch(c *coreCtx, app int) simtime.Duration {
-	meta := e.seg.App(app)
-	if meta == nil {
+	if app < 0 || app >= len(e.apps) {
 		panic(fmt.Sprintf("core: switch to unregistered app %d", app))
 	}
-	tid := meta.KThreadTIDs[c.hwc.ID]
-	d, err := e.mod.SwitchTo(tid)
+	d, err := e.mod.SwitchTo(e.apps[app].kthreads[c.hwc.ID])
 	if err != nil {
 		panic("core: " + err.Error())
 	}
@@ -1152,17 +1146,12 @@ func (e *Engine) resumeThread(c *coreCtx, t *sched.Thread, resp any) {
 	}
 }
 
-// finishThread handles thread exit and application termination (§3.3).
+// finishThread handles thread exit.
 func (e *Engine) finishThread(c *coreCtx, t *sched.Thread) {
 	e.emit(trace.Exit, c.idx, t, 0)
 	t.State = sched.Exited
 	if e.mode == PerCPU {
 		e.policy.TaskTerminate(t)
-	}
-	a := e.apps[t.App]
-	a.live--
-	if a.live == 0 {
-		a.meta.Exited = true
 	}
 	// Recycle the thread's objects: the goroutine parks for reuse and the
 	// uthread (descriptor included) goes on the freelist. Swap-remove from

@@ -158,6 +158,31 @@ func TestWakeupLatencyMicroseconds(t *testing.T) {
 	}
 }
 
+// TestAppRegistry checks the engine's app registry: apps get dense IDs in
+// registration order, and each app holds one kernel thread per managed
+// core — the first app's bound and active, later apps' parked — while a
+// core the engine does not manage has none.
+func TestAppRegistry(t *testing.T) {
+	e := newEngine(t, Config{CPUs: []int{1, 2}, Policy: newTestFIFO(0), TimerMode: TimerNone})
+	lc := e.NewApp("memcached")
+	be := e.NewApp("batch")
+	if lc.ID != 0 || be.ID != 1 {
+		t.Fatalf("registry ids wrong: %d %d", lc.ID, be.ID)
+	}
+	mod := e.KernelModule()
+	for _, core := range []int{1, 2} {
+		if kt := mod.ActiveOn(core); kt == nil || kt.TID != lc.KThreadTID(core) || kt.App != lc.ID {
+			t.Fatalf("core %d: active kthread %v, want app 0's tid %d", core, kt, lc.KThreadTID(core))
+		}
+		if tid := be.KThreadTID(core); tid == 0 || tid == lc.KThreadTID(core) {
+			t.Fatalf("core %d: app 1 kthread tid %d", core, tid)
+		}
+	}
+	if lc.KThreadTID(0) != 0 || be.KThreadTID(0) != 0 {
+		t.Fatal("unmanaged core 0 has a kernel thread")
+	}
+}
+
 func TestMultiAppSwitchingCostsAndBindingRule(t *testing.T) {
 	e := newEngine(t, Config{CPUs: cpus(1), Policy: newTestFIFO(0), TimerMode: TimerNone})
 	lc := e.NewApp("lc")
@@ -315,9 +340,7 @@ func TestCentralizedCoreAllocation(t *testing.T) {
 		Central:   &testCentral{quantum: 30 * simtime.Microsecond},
 		TimerMode: TimerNone,
 		CoreAlloc: &CoreAllocConfig{
-			LCApp:               0,
 			CongestionThreshold: 10 * simtime.Microsecond,
-			CheckInterval:       5 * simtime.Microsecond,
 		},
 	})
 	lc := e.NewApp("lc")

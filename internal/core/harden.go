@@ -10,45 +10,30 @@ import (
 // §10): a per-core watchdog that detects silent cores and falls back to
 // polling-mode rescheduling, UINTR notification rescans for the §3.2
 // posted-but-unnotified trap, and bounded retry-with-backoff for
-// preemption IPIs. Everything here is gated on Config.Hardening — a nil
-// config adds no clock events, so golden hashes of clean runs are
+// preemption IPIs. Everything here is gated on Config.Harden — off, it
+// adds no clock events, so golden hashes of clean runs are
 // untouched (the per-core lastProgress stamps are unconditional plain
 // field writes and perturb nothing).
 
-// HardeningConfig enables and tunes the fault-tolerance layer.
-type HardeningConfig struct {
-	// WatchdogBudget is how long a core may stay silent (no dispatch, IRQ
+// Hardening parameters. Every hardened run uses these values, so they are
+// constants rather than configuration.
+const (
+	// watchdogBudget is how long a core may stay silent (no dispatch, IRQ
 	// or scheduling progress) while runnable work is queued before the
-	// watchdog intervenes. Default 200µs: two orders above the worst
-	// legitimate handoff latency in any profile, well under the p99.9
-	// budget a chaos gate cares about.
-	WatchdogBudget simtime.Duration
-	// WatchdogPeriod is the sweep interval. Default WatchdogBudget/2, so
-	// a wedge is caught at most 1.5 budgets after onset.
-	WatchdogPeriod simtime.Duration
-	// RetryTimeout is the initial wait before a preemption notification is
-	// resent; each retry doubles it. Default 15µs (≈10× the user-IPI
-	// end-to-end latency).
-	RetryTimeout simtime.Duration
-	// RetryMax bounds resends per preemption. Default 3.
-	RetryMax int
-}
-
-func (h HardeningConfig) withDefaults() HardeningConfig {
-	if h.WatchdogBudget <= 0 {
-		h.WatchdogBudget = 200 * simtime.Microsecond
-	}
-	if h.WatchdogPeriod <= 0 {
-		h.WatchdogPeriod = h.WatchdogBudget / 2
-	}
-	if h.RetryTimeout <= 0 {
-		h.RetryTimeout = 15 * simtime.Microsecond
-	}
-	if h.RetryMax <= 0 {
-		h.RetryMax = 3
-	}
-	return h
-}
+	// watchdog intervenes: two orders above the worst legitimate handoff
+	// latency in any profile, well under the p99.9 budget a chaos gate
+	// cares about.
+	watchdogBudget = 200 * simtime.Microsecond
+	// watchdogPeriod is the sweep interval, so a wedge is caught at most
+	// 1.5 budgets after onset.
+	watchdogPeriod = watchdogBudget / 2
+	// preemptRetryTimeout is the initial wait before a preemption
+	// notification is resent (≈10× the user-IPI end-to-end latency); each
+	// retry doubles it.
+	preemptRetryTimeout = 15 * simtime.Microsecond
+	// preemptRetryMax bounds resends per preemption.
+	preemptRetryMax = 3
+)
 
 // HardeningStats are the recovery counters the chaos gate asserts on.
 type HardeningStats struct {
@@ -65,16 +50,15 @@ func (e *Engine) HardeningStats() HardeningStats { return e.hardenStats }
 // enabling the watchdog later changes no behaviour retroactively.
 func (c *coreCtx) markProgress(now simtime.Time) { c.lastProgress = now }
 
-// startWatchdog arms the periodic sweep. Only called when Config.Hardening
-// is non-nil, so clean runs see no extra clock events.
+// startWatchdog arms the periodic sweep. Only called when Config.Harden is
+// set, so clean runs see no extra clock events.
 func (e *Engine) startWatchdog() {
-	period := e.harden.WatchdogPeriod
 	var sweep func()
 	sweep = func() {
 		e.watchdogSweep()
-		e.m.Clock.After(period, sweep)
+		e.m.Clock.After(watchdogPeriod, sweep)
 	}
-	e.m.Clock.After(period, sweep)
+	e.m.Clock.After(watchdogPeriod, sweep)
 }
 
 // watchdogSweep is one pass of the per-core watchdog: first recover any
@@ -97,12 +81,11 @@ func (e *Engine) watchdogSweep() {
 	if e.runqDepth == 0 {
 		return // silence with no work waiting is idleness, not a wedge
 	}
-	budget := e.harden.WatchdogBudget
 	for _, c := range e.cores {
 		if c.extLeased {
 			continue // the borrower runtime watches its own lent cores
 		}
-		if now-c.lastProgress < budget {
+		if now-c.lastProgress < watchdogBudget {
 			continue
 		}
 		// Escalation 1: a notification may have been lost after ON was

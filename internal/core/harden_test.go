@@ -27,7 +27,7 @@ func TestWatchdogRecoversSilentCore(t *testing.T) {
 		e := newEngine(t, Config{
 			Machine: m, Trace: tr, Seed: 42,
 			CPUs: cpus(1), Policy: newTestFIFO(0), TimerMode: TimerNone,
-			Hardening: &HardeningConfig{},
+			Harden: true,
 		})
 		checker := faults.NewChecker(e, 0)
 		m.Clock.SetObserver(checker.Check)
@@ -89,8 +89,8 @@ func TestPreemptRetryResendsDroppedIPI(t *testing.T) {
 	e := newEngine(t, Config{
 		Machine: m, CPUs: cpus(2), Mode: Centralized,
 		Central: &testCentral{quantum: 30 * simtime.Microsecond}, TimerMode: TimerNone,
-		Costs:     ShinjukuCosts(cycles.Default()),
-		Hardening: &HardeningConfig{},
+		Costs:  ShinjukuCosts(cycles.Default()),
+		Harden: true,
 	})
 	app := e.NewApp("app")
 	var shortDone simtime.Time

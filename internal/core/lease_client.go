@@ -9,7 +9,7 @@ import (
 // Lease-protocol integration (DESIGN.md §15). Two shapes of lending share
 // the state machine in internal/lease:
 //
-//   - Intra-engine (Config.Lease non-nil): every best-effort core grant the
+//   - Intra-engine (Config.Lease set): every best-effort core grant the
 //     centralized allocator makes becomes an explicit lease from the LC
 //     application to the BE application. Reclaim rides the existing preempt
 //     IPI as the cooperative notification; if the borrower never yields
@@ -27,7 +27,7 @@ import (
 // evictRetryDelay paces forceEvictBE's retry loop over the borrower's
 // non-preemptible windows (in-IRQ, mid-exec, in-runtime). Each window is
 // bounded by scheduler costs — a few µs at worst — so the loop lands well
-// inside Config.Lease.EvictSlack.
+// inside lease.EvictSlack.
 const evictRetryDelay = simtime.Microsecond
 
 // startLeaseManager wires the intra-engine lease client: the engine itself
@@ -35,16 +35,7 @@ const evictRetryDelay = simtime.Microsecond
 // lease marks track the state machine so binding violations surface as
 // errors at the exact transition that caused them.
 func (e *Engine) startLeaseManager() {
-	e.leaseMgr = lease.NewManager(*e.cfg.Lease, e.m.Clock, &engineLeaseClient{e: e}, e.tr)
-	e.leaseMgr.OnTransition = func(l lease.Lease) {
-		// Keep the kernel module's marks in step: Grant marks the lease
-		// before assign (maybeGrantBE), Returned clears it (leaseReturn);
-		// the forced-revocation edge flips the revoking flag here so no new
-		// borrower thread can bind mid-yank.
-		if l.State == lease.Revoking {
-			e.mod.MarkRevoking(e.cores[l.Core].hwc.ID)
-		}
-	}
+	e.leaseMgr = lease.NewManager(e.m.Clock, &engineLeaseClient{e: e}, e.tr)
 	e.leaseMgr.SetBindingAudit(func(core int) (int, bool) {
 		kt := e.mod.ActiveOn(e.cores[core].hwc.ID)
 		if kt == nil {
@@ -55,7 +46,7 @@ func (e *Engine) startLeaseManager() {
 }
 
 // LeaseManager reports the intra-engine lease manager (nil unless
-// Config.Lease was set) so harnesses can read its counters and attach it to
+// Config.Lease is set) so harnesses can read its counters and attach it to
 // an invariant checker.
 func (e *Engine) LeaseManager() *lease.Manager { return e.leaseMgr }
 
@@ -154,8 +145,7 @@ func (e *Engine) ReclaimWorker(i int) {
 		return
 	}
 	e.mod.ClearLease(c.hwc.ID)
-	meta := e.seg.App(c.currApp)
-	d, err := e.mod.SwitchTo(meta.KThreadTIDs[c.hwc.ID])
+	d, err := e.mod.SwitchTo(e.apps[c.currApp].kthreads[c.hwc.ID])
 	if err != nil {
 		panic("core: " + err.Error())
 	}

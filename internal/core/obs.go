@@ -58,7 +58,7 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 
 	// Hardening recovery counters exist only when the layer is enabled, so
 	// clean-run metric snapshots keep their exact pre-hardening key set.
-	if e.hardenOn {
+	if e.cfg.Harden {
 		r.CounterFunc("harden.watchdog.recoveries", func() uint64 { return e.hardenStats.WatchdogRecoveries })
 		r.CounterFunc("harden.rescans", func() uint64 { return e.hardenStats.Rescans })
 		r.CounterFunc("harden.ipi.retries", func() uint64 { return e.hardenStats.IPIRetries })

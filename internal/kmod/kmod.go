@@ -12,25 +12,14 @@ import (
 	"fmt"
 
 	"skyloft/internal/cycles"
-	"skyloft/internal/hw"
 	"skyloft/internal/simtime"
 	"skyloft/internal/uintrsim"
 )
 
-// Sentinel errors for the checked binding paths. Callers that drive the
-// lease protocol (internal/lease, core's allocator) match on these with
-// errors.Is; the messages returned wrap them with core/tid detail.
-var (
-	// ErrDoubleBind: the core already has an active kernel thread, so
-	// activating another would violate the Single Binding Rule.
-	ErrDoubleBind = errors.New("kmod: core already has an active kernel thread (Single Binding Rule)")
-	// ErrCoreLeased: the core is under an active lease and the requested
-	// thread belongs to neither the borrower nor the lender.
-	ErrCoreLeased = errors.New("kmod: core is leased to another application")
-	// ErrRevocationInProgress: the core's lease is being forcibly revoked;
-	// no new thread may bind until the revocation completes.
-	ErrRevocationInProgress = errors.New("kmod: core lease revocation in progress")
-)
+// ErrCoreLeased is SwitchTo's rejection of a kernel thread that belongs to
+// neither party of the target core's active lease. The returned error
+// wraps it with core/app detail; match with errors.Is.
+var ErrCoreLeased = errors.New("kmod: core is leased to another application")
 
 // KThread is one application's kernel thread bound to one isolated core.
 // Skyloft creates, per application, one kernel thread per isolated core; at
@@ -40,26 +29,23 @@ type KThread struct {
 	App    int
 	Core   int
 	Active bool
-	parked bool // suspended via ParkOnCPU / SwitchTo
 }
 
 func (k *KThread) String() string {
 	return fmt.Sprintf("kthread{tid=%d app=%d core=%d active=%v}", k.TID, k.App, k.Core, k.Active)
 }
 
-// leaseMark is the module's view of one core lease: who lent it, who
-// borrowed it, and whether forced revocation is underway. The module does
-// not run the lease state machine (internal/lease does); it only enforces
-// that binding operations on a leased core name the two parties.
+// leaseMark is the module's view of one core lease: who lent it and who
+// borrowed it. The module does not run the lease state machine
+// (internal/lease does); it only enforces that SwitchTo on a leased core
+// names one of the two parties.
 type leaseMark struct {
 	lender   int
 	borrower int
-	revoking bool
 }
 
 // Module is the simulated kernel module instance.
 type Module struct {
-	m       *hw.Machine
 	cost    cycles.Model
 	nextTID int
 	cores   map[int][]*KThread // isolated core -> its kernel threads
@@ -69,10 +55,9 @@ type Module struct {
 	switches uint64 // inter-application switches performed
 }
 
-// New creates the module for machine m.
-func New(m *hw.Machine, cost cycles.Model) *Module {
+// New creates the module, charging its operations from cost.
+func New(cost cycles.Model) *Module {
 	return &Module{
-		m:       m,
 		cost:    cost,
 		nextTID: 1000, // arbitrary TID base, like real gettid() values
 		cores:   make(map[int][]*KThread),
@@ -85,34 +70,17 @@ func New(m *hw.Machine, cost cycles.Model) *Module {
 func (mod *Module) Switches() uint64 { return mod.switches }
 
 // MarkLeased records that core is lent by lender to borrower. While the
-// mark is present, SwitchTo/Wakeup reject kernel threads of any third
-// application on that core, and the checked bind paths refuse new
-// bindings that are neither party's.
+// mark is present, SwitchTo rejects kernel threads of any third
+// application on that core.
 func (mod *Module) MarkLeased(core, lender, borrower int) {
 	mod.leases[core] = leaseMark{lender: lender, borrower: borrower}
-}
-
-// MarkRevoking flags core's lease as under forced revocation: parking new
-// threads onto the core is refused until the revocation completes and the
-// mark is cleared.
-func (mod *Module) MarkRevoking(core int) {
-	if l, ok := mod.leases[core]; ok {
-		l.revoking = true
-		mod.leases[core] = l
-	}
 }
 
 // ClearLease removes core's lease mark (reclaim or voluntary return
 // completed).
 func (mod *Module) ClearLease(core int) { delete(mod.leases, core) }
 
-// LeaseOn reports core's lease mark, if any.
-func (mod *Module) LeaseOn(core int) (lender, borrower int, revoking, ok bool) {
-	l, ok := mod.leases[core]
-	return l.lender, l.borrower, l.revoking, ok
-}
-
-// leaseAllows reports whether app may bind/activate a thread on a leased
+// leaseAllows reports whether app may activate a thread on a leased
 // core: only the lease's two parties may, everyone else gets ErrCoreLeased.
 func (mod *Module) leaseAllows(core, app int) error {
 	l, ok := mod.leases[core]
@@ -121,37 +89,6 @@ func (mod *Module) leaseAllows(core, app int) error {
 	}
 	return fmt.Errorf("kmod: core %d leased by app %d to app %d, app %d may not bind: %w",
 		core, l.lender, l.borrower, app, ErrCoreLeased)
-}
-
-// CreateBoundChecked is CreateBound with the violation paths surfaced as
-// errors instead of a panic: binding an active thread onto a core that
-// already has one reports ErrDoubleBind, and binding a third party's
-// thread onto a leased core reports ErrCoreLeased. On error no thread is
-// created and ownership is untouched.
-func (mod *Module) CreateBoundChecked(app, core int) (*KThread, error) {
-	if curr := mod.ActiveOn(core); curr != nil {
-		return nil, fmt.Errorf("kmod: core %d already has active kthread tid %d: %w",
-			core, curr.TID, ErrDoubleBind)
-	}
-	if err := mod.leaseAllows(core, app); err != nil {
-		return nil, err
-	}
-	return mod.CreateBound(app, core), nil
-}
-
-// ParkOnCPUChecked is ParkOnCPU with the lease paths surfaced as errors: a
-// core whose lease is under forced revocation accepts no new bindings
-// (ErrRevocationInProgress), and a leased core accepts only the lease
-// parties (ErrCoreLeased). On error no thread is created.
-func (mod *Module) ParkOnCPUChecked(app, core int) (*KThread, error) {
-	if l, ok := mod.leases[core]; ok && l.revoking {
-		return nil, fmt.Errorf("kmod: core %d lease (app %d -> app %d) is being revoked: %w",
-			core, l.lender, l.borrower, ErrRevocationInProgress)
-	}
-	if err := mod.leaseAllows(core, app); err != nil {
-		return nil, err
-	}
-	return mod.ParkOnCPU(app, core), nil
 }
 
 // CreateBound registers a new kernel thread for app bound to core and
@@ -169,10 +106,7 @@ func (mod *Module) CreateBound(app, core int) *KThread {
 // suspends it before it ever runs (skyloft_park_on_cpu). Subsequent
 // applications join this way so the rule is never violated.
 func (mod *Module) ParkOnCPU(app, core int) *KThread {
-	t := mod.create(app, core)
-	t.Active = false
-	t.parked = true
-	return t
+	return mod.create(app, core)
 }
 
 func (mod *Module) create(app, core int) *KThread {
@@ -196,94 +130,23 @@ func (mod *Module) SwitchTo(targetTID int) (simtime.Duration, error) {
 	if err := mod.leaseAllows(target.Core, target.App); err != nil {
 		return 0, err
 	}
-	var curr *KThread
-	for _, t := range mod.cores[target.Core] {
-		if t.Active {
-			curr = t
-			break
-		}
-	}
+	curr := mod.ActiveOn(target.Core)
 	if curr == target {
 		return 0, nil // already active: nothing to do
 	}
 	if curr != nil {
 		curr.Active = false
-		curr.parked = true
 	}
 	target.Active = true
-	target.parked = false
 	mod.switches++
 	mod.checkBindingRule(target.Core)
 	return mod.cost.AppSwitch, nil
-}
-
-// Wakeup makes the given kernel thread active (skyloft_wakeup), used when a
-// core has no active thread at all — e.g. reassigning an idle core to a
-// different application. It fails if another thread is active on the core.
-func (mod *Module) Wakeup(targetTID int) (simtime.Duration, error) {
-	target, ok := mod.byTID[targetTID]
-	if !ok {
-		return 0, fmt.Errorf("kmod: no kernel thread with tid %d", targetTID)
-	}
-	if target.Active {
-		return 0, nil
-	}
-	if err := mod.leaseAllows(target.Core, target.App); err != nil {
-		return 0, err
-	}
-	for _, t := range mod.cores[target.Core] {
-		if t.Active {
-			return 0, fmt.Errorf("kmod: core %d already has active kthread tid %d: %w",
-				target.Core, t.TID, ErrDoubleBind)
-		}
-	}
-	target.Active = true
-	target.parked = false
-	mod.checkBindingRule(target.Core)
-	return mod.cost.KthreadSwitchWake, nil
-}
-
-// Exit terminates a kernel thread: an active thread is first rebound off
-// its isolated core (§3.3 application termination); parked threads get a
-// termination signal. The thread disappears from the core's binding set.
-func (mod *Module) Exit(tid int) error {
-	t, ok := mod.byTID[tid]
-	if !ok {
-		return fmt.Errorf("kmod: no kernel thread with tid %d", tid)
-	}
-	list := mod.cores[t.Core]
-	for i, other := range list {
-		if other == t {
-			mod.cores[t.Core] = append(list[:i:i], list[i+1:]...)
-			break
-		}
-	}
-	delete(mod.byTID, tid)
-	return nil
 }
 
 // ActiveOn reports the active kernel thread on core, or nil.
 func (mod *Module) ActiveOn(core int) *KThread {
 	for _, t := range mod.cores[core] {
 		if t.Active {
-			return t
-		}
-	}
-	return nil
-}
-
-// ThreadsOn reports all kernel threads bound to core.
-func (mod *Module) ThreadsOn(core int) []*KThread {
-	return append([]*KThread(nil), mod.cores[core]...)
-}
-
-// Lookup finds a kernel thread by TID.
-func (mod *Module) Lookup(tid int) *KThread { return mod.byTID[tid] }
-
-// FindFor reports app's kernel thread on core, or nil.
-func (mod *Module) FindFor(app, core int) *KThread {
-	for _, t := range mod.cores[core] {
-		if t.App == app {
 			return t
 		}
 	}
@@ -310,11 +173,4 @@ func (mod *Module) checkBindingRule(core int) {
 func (mod *Module) TimerEnable(r *uintrsim.Receiver, s *uintrsim.Sender, hz int64) (*uintrsim.TimerDelegation, simtime.Duration) {
 	d := uintrsim.DelegateTimer(r, s, hz)
 	return d, mod.cost.Syscall
-}
-
-// TimerSetHz reconfigures a delegated timer's frequency and returns the
-// ioctl cost.
-func (mod *Module) TimerSetHz(d *uintrsim.TimerDelegation, hz int64) simtime.Duration {
-	d.SetHz(hz)
-	return mod.cost.Syscall
 }

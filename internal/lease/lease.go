@@ -17,7 +17,7 @@
 // the manager escalates through RetryMax re-notifications with doubling
 // backoff and finally calls the client's ForceEvict, which yanks the
 // borrower through the kernel module and cannot be ignored. The resulting
-// worst-case bound is Config.ReclaimBound; the invariant auditor treats a
+// worst-case bound is ReclaimBound; the invariant auditor treats a
 // reclaim outliving it as a violation.
 package lease
 
@@ -61,58 +61,34 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
-// Config bounds the reclaim path.
-type Config struct {
+// Reclaim-path parameters. Every caller runs the protocol with these
+// values, so they are constants rather than configuration.
+const (
 	// Grace is the cooperative window: how long a borrower gets to yield
 	// after the first reclaim notification before forced revocation
-	// engages. Default 50µs.
-	Grace simtime.Duration
+	// engages.
+	Grace = 50 * simtime.Microsecond
 	// RetryTimeout is the first forced re-notification backoff; each
-	// subsequent retry doubles it. Default 15µs (matching the hardening
-	// layer's IPI retry).
-	RetryTimeout simtime.Duration
+	// subsequent retry doubles it (matching the hardening layer's IPI
+	// retry).
+	RetryTimeout = 15 * simtime.Microsecond
 	// RetryMax is how many forced re-notifications are sent before the
-	// manager stops asking and calls ForceEvict. Default 3.
-	RetryMax int
+	// manager stops asking and calls ForceEvict.
+	RetryMax = 3
 	// EvictSlack bounds how long ForceEvict may take to land: the evict
 	// loop retries over the borrower's non-preemptible windows (in-IRQ,
 	// in-runtime, mid-exec), all of which are bounded by scheduler costs,
-	// not by borrower behavior. Default 40µs.
-	EvictSlack simtime.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.Grace == 0 {
-		c.Grace = 50 * simtime.Microsecond
-	}
-	if c.RetryTimeout == 0 {
-		c.RetryTimeout = 15 * simtime.Microsecond
-	}
-	if c.RetryMax == 0 {
-		c.RetryMax = 3
-	}
-	if c.EvictSlack == 0 {
-		c.EvictSlack = 40 * simtime.Microsecond
-	}
-	return c
-}
+	// not by borrower behavior.
+	EvictSlack = 40 * simtime.Microsecond
+)
 
 // ReclaimBound is the worst-case reclaim latency the state machine
 // guarantees: the full grace window, plus every forced re-notification
-// backoff (RetryTimeout doubling RetryMax times), plus the eviction slack.
-// No borrower behavior — stalling, dropping IPIs, ignoring requests —
-// can stretch a reclaim past it, because the final step does not need the
-// borrower's cooperation.
-func (c Config) ReclaimBound() simtime.Duration {
-	c = c.withDefaults()
-	bound := c.Grace + c.EvictSlack
-	t := c.RetryTimeout
-	for i := 0; i < c.RetryMax; i++ {
-		bound += t
-		t *= 2
-	}
-	return bound
-}
+// backoff (RetryTimeout doubling RetryMax times: 15+30+60µs), plus the
+// eviction slack — 195µs. No borrower behavior — stalling, dropping IPIs,
+// ignoring requests — can stretch a reclaim past it, because the final
+// step does not need the borrower's cooperation.
+const ReclaimBound = Grace + RetryTimeout*(1<<RetryMax-1) + EvictSlack
 
 // Client is the runtime-side half of the protocol: the scheduler that owns
 // the lent cores implements delivery and eviction.
@@ -152,7 +128,6 @@ type Lease struct {
 //
 //simlint:owner sim
 type Manager struct {
-	cfg    Config
 	clock  simtime.EventCore
 	client Client
 	ring   *trace.Ring // optional: lease transitions into the trace
@@ -177,18 +152,12 @@ type Manager struct {
 	// pendingViolations carries transition-time violations (e.g. a
 	// deadline miss observed at Returned) to the next audit sweep.
 	pendingViolations []string
-
-	// OnTransition, if set, observes every state change (after the
-	// transition is applied). The core engine uses it to keep kmod's
-	// lease marks in step with the state machine.
-	OnTransition func(l Lease)
 }
 
 // NewManager creates a manager scheduling deadline events on clock and
 // recording transitions into ring (nil: no trace).
-func NewManager(cfg Config, clock simtime.EventCore, client Client, ring *trace.Ring) *Manager {
+func NewManager(clock simtime.EventCore, client Client, ring *trace.Ring) *Manager {
 	return &Manager{
-		cfg:         cfg.withDefaults(),
 		clock:       clock,
 		client:      client,
 		ring:        ring,
@@ -196,9 +165,6 @@ func NewManager(cfg Config, clock simtime.EventCore, client Client, ring *trace.
 		reclaimHist: stats.NewHist(),
 	}
 }
-
-// Config reports the manager's effective (default-filled) configuration.
-func (m *Manager) Config() Config { return m.cfg }
 
 // SetBindingAudit installs the kmod ownership probe used by AuditLeases.
 func (m *Manager) SetBindingAudit(fn func(core int) (app int, ok bool)) {
@@ -231,12 +197,6 @@ func (m *Manager) emit(kind trace.Kind, l *Lease, arg int64) {
 	})
 }
 
-func (m *Manager) notify(l Lease) {
-	if m.OnTransition != nil {
-		m.OnTransition(l)
-	}
-}
-
 // Grant lends core from lender to borrower. Granting a core that is
 // already lent is a protocol violation and returns an error (the
 // no-double-grant invariant); the caller treats it as a bug.
@@ -257,7 +217,6 @@ func (m *Manager) Grant(core, lender, borrower int) error {
 	l.seq++
 	m.grants++
 	m.emit(trace.LeaseGrant, l, int64(lender))
-	m.notify(*l)
 	return nil
 }
 
@@ -277,9 +236,8 @@ func (m *Manager) RequestReclaim(core int) bool {
 	seq := l.seq
 	m.reclaims++
 	m.emit(trace.LeaseReclaim, l, 0)
-	m.notify(*l)
 	m.client.ReclaimNotify(core, 0)
-	m.clock.After(m.cfg.Grace, func() {
+	m.clock.After(Grace, func() {
 		m.graceExpired(l, seq)
 	})
 	return true
@@ -296,8 +254,7 @@ func (m *Manager) graceExpired(l *Lease, seq uint64) {
 	l.seq++
 	m.forcedRevocations++
 	m.emit(trace.LeaseRevoke, l, 0)
-	m.notify(*l)
-	m.escalate(l, l.seq, 1, m.cfg.RetryTimeout)
+	m.escalate(l, l.seq, 1, RetryTimeout)
 }
 
 // escalate re-notifies the borrower with doubling backoff; after RetryMax
@@ -306,7 +263,7 @@ func (m *Manager) escalate(l *Lease, seq uint64, attempt int, timeout simtime.Du
 	if l.seq != seq || l.State != Revoking {
 		return
 	}
-	if attempt > m.cfg.RetryMax {
+	if attempt > RetryMax {
 		m.evictions++
 		m.client.ForceEvict(l.Core)
 		return
@@ -339,17 +296,16 @@ func (m *Manager) Returned(core int) {
 	}
 	if l.State != Granted {
 		m.reclaimHist.Record(latency)
-		if latency > m.cfg.ReclaimBound() {
+		if latency > ReclaimBound {
 			m.deadlineMisses++
 			m.pendingViolations = append(m.pendingViolations, fmt.Sprintf(
 				"lease: reclaim of core %d from app %d took %v, past the %v bound",
-				core, l.Borrower, latency, m.cfg.ReclaimBound()))
+				core, l.Borrower, latency, ReclaimBound))
 		}
 	}
 	l.State = Idle
 	l.seq++
 	m.emit(trace.LeaseReturn, l, int64(latency))
-	m.notify(*l)
 }
 
 // Grants reports leases granted.
@@ -409,16 +365,15 @@ func (m *Manager) AuditLeases(violate func(format string, args ...any)) {
 	}
 	m.pendingViolations = m.pendingViolations[:0]
 	now := m.clock.Now()
-	bound := m.cfg.ReclaimBound()
 	for _, core := range det.SortedKeys(m.leases) {
 		l := m.leases[core]
 		switch l.State {
 		case Reclaiming, Revoking:
-			if now-l.ReclaimAt > bound && !l.overdueReported {
+			if now-l.ReclaimAt > ReclaimBound && !l.overdueReported {
 				l.overdueReported = true
 				m.deadlineMisses++
 				violate("lease: reclaim of core %d from app %d still %v at +%v, past the %v bound",
-					core, l.Borrower, l.State, now-l.ReclaimAt, bound)
+					core, l.Borrower, l.State, now-l.ReclaimAt, ReclaimBound)
 			}
 		}
 		if l.State == Granted && m.bindingAudit != nil {

@@ -40,24 +40,15 @@ func newHarness(deaf bool) (*simtime.Clock, *Manager, *fakeClient, *trace.Ring) 
 	clock := simtime.NewClock()
 	ring := trace.New(1 << 10)
 	fc := &fakeClient{clock: clock, deaf: deaf, yieldIn: 2 * simtime.Microsecond}
-	mgr := NewManager(Config{}, clock, fc, ring)
+	mgr := NewManager(clock, fc, ring)
 	fc.mgr = mgr
 	return clock, mgr, fc, ring
 }
 
 func TestReclaimBound(t *testing.T) {
-	cfg := Config{
-		Grace:        50 * simtime.Microsecond,
-		RetryTimeout: 15 * simtime.Microsecond,
-		RetryMax:     3,
-		EvictSlack:   40 * simtime.Microsecond,
-	}
 	// 50 + (15 + 30 + 60) + 40 = 195µs.
-	if got, want := cfg.ReclaimBound(), 195*simtime.Microsecond; got != want {
+	if got, want := ReclaimBound, 195*simtime.Microsecond; got != want {
 		t.Fatalf("ReclaimBound = %v, want %v", got, want)
-	}
-	if (Config{}).ReclaimBound() != cfg.ReclaimBound() {
-		t.Fatal("defaults do not match the documented bound")
 	}
 }
 
@@ -85,7 +76,7 @@ func TestCooperativeReclaim(t *testing.T) {
 	if got := fc.notifies; len(got) != 1 || got[0] != 0 {
 		t.Fatalf("notifies = %v", got)
 	}
-	if p99 := mgr.ReclaimHist().Quantile(0.99); p99 > mgr.Config().ReclaimBound() {
+	if p99 := mgr.ReclaimHist().Quantile(0.99); p99 > ReclaimBound {
 		t.Fatalf("cooperative p99 %v above bound", p99)
 	}
 }
@@ -95,8 +86,6 @@ func TestForcedRevocationEscalatesToEvict(t *testing.T) {
 	if err := mgr.Grant(2, 0, 7); err != nil {
 		t.Fatal(err)
 	}
-	var transitions []State
-	mgr.OnTransition = func(l Lease) { transitions = append(transitions, l.State) }
 	mgr.RequestReclaim(2)
 	clock.Run(simtime.Time(simtime.Millisecond))
 
@@ -106,8 +95,8 @@ func TestForcedRevocationEscalatesToEvict(t *testing.T) {
 	if mgr.Evictions() != 1 || fc.evicts != 1 {
 		t.Fatalf("evictions = %d / client %d", mgr.Evictions(), fc.evicts)
 	}
-	if int(mgr.RevocationRetries()) != mgr.Config().RetryMax {
-		t.Fatalf("retries = %d, want %d", mgr.RevocationRetries(), mgr.Config().RetryMax)
+	if int(mgr.RevocationRetries()) != RetryMax {
+		t.Fatalf("retries = %d, want %d", mgr.RevocationRetries(), RetryMax)
 	}
 	// Attempt numbers: cooperative 0, then forced 1..RetryMax.
 	want := []int{0, 1, 2, 3}
@@ -126,23 +115,20 @@ func TestForcedRevocationEscalatesToEvict(t *testing.T) {
 	if mgr.DeadlineMisses() != 0 {
 		t.Fatalf("deadline misses = %d", mgr.DeadlineMisses())
 	}
-	if max := mgr.ReclaimHist().Max(); max > mgr.Config().ReclaimBound() {
-		t.Fatalf("reclaim took %v, bound %v", max, mgr.Config().ReclaimBound())
+	if max := mgr.ReclaimHist().Max(); max > ReclaimBound {
+		t.Fatalf("reclaim took %v, bound %v", max, ReclaimBound)
 	}
-	// State trail: Reclaiming -> Revoking -> Idle.
-	wantStates := []State{Reclaiming, Revoking, Idle}
-	if len(transitions) != len(wantStates) {
-		t.Fatalf("transitions = %v", transitions)
+	// The trace carries the full lease lifecycle, one event per
+	// transition: Granted -> Reclaiming -> Revoking -> Idle.
+	wantKinds := []trace.Kind{trace.LeaseGrant, trace.LeaseReclaim, trace.LeaseRevoke, trace.LeaseReturn}
+	evs := ring.Events()
+	if len(evs) != len(wantKinds) {
+		t.Fatalf("lease trace = %v", evs)
 	}
-	for i, s := range wantStates {
-		if transitions[i] != s {
-			t.Fatalf("transitions = %v, want %v", transitions, wantStates)
+	for i, k := range wantKinds {
+		if evs[i].Kind != k {
+			t.Fatalf("lease trace event %d = %v, want %v", i, evs[i].Kind, k)
 		}
-	}
-	// Trace carries the full lease lifecycle.
-	st := ring.Counts()
-	if st.LeaseEvents != 4 { // grant, reclaim, revoke, return
-		t.Fatalf("lease trace events = %d", st.LeaseEvents)
 	}
 }
 
@@ -189,7 +175,7 @@ func TestLateCooperativeReturnDefusesEscalation(t *testing.T) {
 	}
 	mgr.RequestReclaim(5)
 	// Yield just after the first forced resend.
-	clock.After(mgr.Config().Grace+mgr.Config().RetryTimeout+simtime.Microsecond,
+	clock.After(Grace+RetryTimeout+simtime.Microsecond,
 		func() { mgr.Returned(5) })
 	clock.Run(simtime.Time(simtime.Millisecond))
 	if fc.evicts != 0 {
