@@ -81,7 +81,8 @@ FUZZ_TARGETS := \
 	FuzzClockMatchesHeap:./internal/simtime/ \
 	FuzzLSMMatchesReference:./internal/apps/kvstore/ \
 	FuzzMemcacheProto:./internal/apps/memcacheproto/ \
-	FuzzRocksDBProto:./internal/apps/rocksdbproto/
+	FuzzRocksDBProto:./internal/apps/rocksdbproto/ \
+	FuzzPerfettoMatchesJSON:./internal/obs/
 
 .PHONY: fuzz-smoke
 fuzz-smoke:
