@@ -382,6 +382,13 @@ type coreCtx struct {
 	kickCont    func()
 	runCont     func() // StartRun completion (one segment per core)
 	runTask     *sched.Thread
+
+	// legacyCont finishes a legacy preempt IRQ after its receive cost. The
+	// core delivers no second IRQ until EndIRQ, which legacyCont calls, so
+	// one IRQ's ran-for time and payload are in flight per core at most.
+	legacyCont   func()
+	legacyRanFor simtime.Duration
+	legacyData   any
 }
 
 // setCurr changes core ownership, invalidating deferred callbacks from the
@@ -448,6 +455,7 @@ func New(cfg Config) *Engine {
 			e.resumeThread(cc, t, nil)
 		}
 		c.uiretFn = func() { cc.recv.UIRet() }
+		c.legacyCont = func() { e.legacyPreempt(cc) }
 		c.kickCont = func() {
 			if cc.curr != nil {
 				return // another path already gave the core work
@@ -991,16 +999,23 @@ func (e *Engine) onLegacyIRQ(c *coreCtx, irq hw.IRQ) {
 		c.hwc.EndIRQ()
 		return
 	}
-	var ranFor simtime.Duration
+	c.legacyRanFor = 0
 	if c.hwc.Running() {
-		ranFor = c.hwc.StopRun()
+		c.legacyRanFor = c.hwc.StopRun()
 	}
+	c.legacyData = irq.Data
 	mech := e.ec.Preempt
-	c.hwc.Exec(mech.Receive+mech.ExtraSwitch, func() {
-		ranFor += e.absorbSlippedRun(c)
-		c.hwc.EndIRQ()
-		e.preemptWorker(c, ranFor, irq.Data)
-	})
+	c.hwc.Exec(mech.Receive+mech.ExtraSwitch, c.legacyCont)
+}
+
+// legacyPreempt is a legacy preempt IRQ's continuation (coreCtx.legacyCont).
+// It takes the IRQ's arguments out of the core before EndIRQ lets the next
+// interrupt in.
+func (e *Engine) legacyPreempt(c *coreCtx) {
+	ranFor, data := c.legacyRanFor+e.absorbSlippedRun(c), c.legacyData
+	c.legacyData = nil
+	c.hwc.EndIRQ()
+	e.preemptWorker(c, ranFor, data)
 }
 
 // startUtimer runs the dedicated software-timer core (§5.3): every quantum
