@@ -40,6 +40,15 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	of := obs.BindFlags()
 	flag.Parse()
+	if err := of.StartProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := of.StopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+	}()
 
 	workers := []int{8, 16, 24, 32, 40, 48, 56, 64}
 

@@ -258,6 +258,15 @@ func main() {
 	oversub := flag.String("oversub", "", "run the oversubscription lease gate for a preset (or \"all\") instead of the benchmark sweep")
 	of := obs.BindFlags()
 	flag.Parse()
+	if err := of.StartProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := of.StopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+	}()
 	bench.SetSweepWorkers(*par)
 
 	if *chaos != "" {

@@ -52,6 +52,15 @@ func main() {
 	threads := flag.Int("threads", 8, "churn threads")
 	of := obs.BindFlags()
 	flag.Parse()
+	if err := of.StartProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := of.StopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+	}()
 
 	tr := trace.New(1 << 18)
 	machine := hw.NewMachine(hw.DefaultConfig())

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"skyloft/internal/trace"
@@ -13,8 +15,9 @@ import (
 // Flags is the standard observability flag set shared by the cmds
 // (skyloft-trace, skyloft-bench, schbench): -trace-out, -metrics-out,
 // -doctor-out, -occupancy, plus the live-telemetry trio -live-out,
-// -live-window, -live-http and the flight recorder's -flight-dir. Bind
-// before flag.Parse. Every *-out flag accepts "-" for stdout.
+// -live-window, -live-http, the flight recorder's -flight-dir, and the
+// host profiles -cpuprofile and -memprofile. Bind before flag.Parse. Every
+// *-out flag accepts "-" for stdout.
 type Flags struct {
 	TraceOut   string
 	MetricsOut string
@@ -32,6 +35,13 @@ type Flags struct {
 	// Causal request tracer (internal/obs/causal): exemplar document
 	// destination for skyloft-explain.
 	CausalOut string
+
+	// Host profiles of the simulator process itself (runtime/pprof, for
+	// go tool pprof): the CPU profile and the heap profile written at
+	// exit. They profile the host, not the simulated system.
+	CPUProfile string
+	MemProfile string
+	cpuOut     *os.File
 }
 
 // BindFlags registers the observability flags on the default CommandLine
@@ -47,7 +57,55 @@ func BindFlags() *Flags {
 	flag.StringVar(&f.LiveHTTP, "live-http", "", "serve live snapshots over HTTP on this address (e.g. 127.0.0.1:7077)")
 	flag.StringVar(&f.FlightDir, "flight-dir", "", "flight recorder: dump a post-mortem bundle into this directory when a detector fires")
 	flag.StringVar(&f.CausalOut, "causal-out", "", "write the causal tracer's exemplar document as JSON for skyloft-explain (\"-\" for stdout)")
+	flag.StringVar(&f.CPUProfile, "cpuprofile", "", "write a host CPU profile of this process to this file (go tool pprof)")
+	flag.StringVar(&f.MemProfile, "memprofile", "", "write a host heap profile of this process to this file at exit (go tool pprof)")
 	return f
+}
+
+// StartProfiles starts the -cpuprofile host CPU profile (no-op when unset).
+// Call it right after flag.Parse and pair it with StopProfiles.
+func (f *Flags) StartProfiles() error {
+	if f.CPUProfile == "" {
+		return nil
+	}
+	out, err := os.Create(f.CPUProfile)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(out); err != nil {
+		out.Close()
+		return err
+	}
+	f.cpuOut = out
+	return nil
+}
+
+// StopProfiles ends the CPU profile StartProfiles began and writes the
+// -memprofile heap profile (each a no-op when its flag is unset). The heap
+// profile carries both in-use and cumulative allocation samples
+// (go tool pprof -sample_index=alloc_space).
+func (f *Flags) StopProfiles() error {
+	if f.cpuOut != nil {
+		pprof.StopCPUProfile()
+		err := f.cpuOut.Close()
+		f.cpuOut = nil
+		if err != nil {
+			return err
+		}
+	}
+	if f.MemProfile == "" {
+		return nil
+	}
+	out, err := os.Create(f.MemProfile)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // bring the profile's in-use figures up to date
+	if err := pprof.WriteHeapProfile(out); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }
 
 // Active reports whether any observability output was requested.
