@@ -49,20 +49,26 @@ func TestFig8bEngineBuildAllocs(t *testing.T) {
 		e.Shutdown()
 	}
 	build() // warm lazily initialised package state
-	// Take the least of a few builds so an allocation by another goroutine
-	// between two MemStats reads cannot fail the test.
-	var least uint64
-	for i := 0; i < 3; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		build()
-		runtime.ReadMemStats(&after)
-		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < least {
-			least = n
-		}
-	}
+	least := leastAlloc(3, build)
 	t.Logf("engine build: %d bytes", least)
 	if least > engineBuildBudget {
 		t.Fatalf("building the Fig. 8b engine allocated %d bytes, budget %d", least, engineBuildBudget)
 	}
+}
+
+// leastAlloc reports the fewest heap bytes any of n calls of fn allocated.
+// Taking the least of a few calls keeps an allocation by another goroutine
+// between two MemStats reads from failing a budget.
+func leastAlloc(n int, fn func()) uint64 {
+	var least uint64
+	for i := 0; i < n; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; i == 0 || b < least {
+			least = b
+		}
+	}
+	return least
 }
