@@ -35,7 +35,7 @@ hostbench-check:
 # Also fails on files gofmt would rewrite, so the tree stays formatted.
 .PHONY: lint
 lint:
-	$(GO) run ./cmd/simlint ./internal/... ./cmd/...
+	$(GO) run ./cmd/simlint ./internal/... ./cmd/... ./examples/...
 	@fmt=$$(gofmt -l .); \
 	if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 

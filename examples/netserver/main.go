@@ -80,15 +80,11 @@ func main() {
 	// Client: open-loop requests every 50 µs, measuring RTT.
 	cli, _ := clientStack.BindUDP(0)
 	lat := stats.NewHist()
-	sendTimes := map[string]simtime.Time{}
+	var sendTimes []simtime.Time // send instants of outstanding requests, oldest first
 	cli.OnDatagram(func(d netsim.Datagram) {
-		// Replies carry the value; match by draining in order (single
-		// outstanding window per key in this demo).
-		for k, at := range sendTimes {
-			lat.Record(machine.Now() - at)
-			delete(sendTimes, k)
-			break
-		}
+		// Replies carry the value; match by draining in order.
+		lat.Record(machine.Now() - sendTimes[0])
+		sendTimes = sendTimes[1:]
 	})
 	r := rng.New(7)
 	const requests = 2000
@@ -96,7 +92,7 @@ func main() {
 		at := simtime.Time(i) * 50 * simtime.Microsecond
 		machine.Clock.At(at, func() {
 			key := fmt.Sprintf("key-%d", r.Intn(10000))
-			sendTimes[key] = machine.Now()
+			sendTimes = append(sendTimes, machine.Now())
 			req := memcacheproto.FormatRequest(memcacheproto.Request{
 				Op: memcacheproto.Get, Keys: []string{key},
 			})

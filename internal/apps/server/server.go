@@ -109,7 +109,7 @@ func NewWorkerPool(sys apps.System, w netsim.Waker, nic *netsim.NIC, rec *loadge
 
 // Feed connects a load generator to the NIC: every generated request
 // becomes a packet delivery.
-func Feed(g *loadgen.Gen, clock loadgen.Clock, nic *netsim.NIC, limit uint64) {
+func Feed(g *loadgen.Gen, clock *simtime.Clock, nic *netsim.NIC, limit uint64) {
 	g.Run(clock, limit, func(r loadgen.Request) {
 		nic.Deliver(netsim.Packet{
 			Service: r.Service,
@@ -168,7 +168,7 @@ func (q *quickReq) done(now simtime.Time) {
 // causal tracer ct, each injected request opens a journey keyed by its
 // loadgen sequence number, binds to its thread at the injection instant and
 // replies through the completion record.
-func FeedDirect(g *loadgen.Gen, clock loadgen.Clock, sys apps.System,
+func FeedDirect(g *loadgen.Gen, clock *simtime.Clock, sys apps.System,
 	rec *loadgen.Recorder, limit uint64, ct CausalTracer) {
 	if qs, ok := sys.(apps.QuickSystem); ok {
 		var pool quickReqPool

@@ -31,7 +31,7 @@ type Observed struct {
 // before the run starts — the point where attach-only consumers (the live
 // telemetry bus) wire themselves in.
 type RunHooks struct {
-	Clock    simtime.EventCore
+	Clock    *simtime.Clock
 	Ring     *trace.Ring
 	Registry *obs.Registry
 	Profiler *obs.Profiler

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -109,9 +110,9 @@ func BuildReport(seed uint64, quick bool) *BenchReport {
 	}
 
 	// Fig. 6 endpoints: the RR-slice sweep's extremes.
-	for _, slice := range []simtime.Duration{25 * simtime.Microsecond, 400 * simtime.Microsecond} {
+	for _, slice := range fig6Slices {
 		res := SchbenchSkyloft(SkyloftRR, slice, workers, reqs, seed)
-		r.Metrics[fmt.Sprintf("fig6.rr-%v.p99_us", slice)] = res.Hist.P99().Micros()
+		r.Metrics[fig6Key(slice)] = res.Hist.P99().Micros()
 	}
 
 	// Fig. 7a at one offered load (80% of capacity): p99 and throughput for
@@ -217,7 +218,86 @@ func BuildReport(seed uint64, quick bool) *BenchReport {
 		r.Metrics[p+".invariant_violations"] = float64(res.Violations)
 	}
 
+	if err := checkPaperClaims(r.Metrics); err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
 	return r
+}
+
+// fig6Slices are the RR slices of the report's Fig. 6 endpoints, shortest
+// first.
+var fig6Slices = []simtime.Duration{25 * simtime.Microsecond, 400 * simtime.Microsecond}
+
+func fig6Key(slice simtime.Duration) string { return fmt.Sprintf("fig6.rr-%v.p99_us", slice) }
+
+// paperClaim is one of the paper's qualitative conclusions, stated as an
+// ordering of report metrics: each metric of chain lies strictly below the
+// next, or at most equal to it when orEqual is set.
+type paperClaim struct {
+	name    string
+	orEqual bool
+	chain   []string
+}
+
+// paperClaims lists the orderings the report must reproduce. The
+// deviations EXPERIMENTS.md documents are deliberately not claims.
+func paperClaims() []paperClaim {
+	var claims []paperClaim
+	for _, sky := range []string{"skyloft-cfs", "skyloft-rr"} {
+		for _, linux := range []string{"linux-cfs", "linux-rr"} {
+			claims = append(claims, paperClaim{
+				name:  "Fig. 5: " + sky + " p99 below " + linux,
+				chain: []string{"fig5." + sky + ".p99_us", "fig5." + linux + ".p99_us"},
+			})
+		}
+	}
+	var fig6 []string
+	for _, slice := range fig6Slices {
+		fig6 = append(fig6, fig6Key(slice))
+	}
+	claims = append(claims,
+		paperClaim{name: "Fig. 6: p99 rises with the RR slice", chain: fig6},
+		paperClaim{
+			name:    "Fig. 7a: skyloft p99 at or below linux-cfs",
+			orEqual: true,
+			chain:   []string{"fig7a.skyloft.p99_us", "fig7a.linux-cfs.p99_us"},
+		},
+		paperClaim{
+			name: "Table 6: user-timer < user-ipi < kernel-ipi < signal delivery",
+			chain: []string{
+				"table6.user-timer.delivery_cycles", "table6.user-ipi.delivery_cycles",
+				"table6.kernel-ipi.delivery_cycles", "table6.signal.delivery_cycles",
+			},
+		})
+	for _, op := range []string{"spawn", "yield", "condvar"} {
+		claims = append(claims, paperClaim{
+			name:  "Table 7: skyloft " + op + " beats pthread",
+			chain: []string{"table7." + op + ".skyloft_ns", "table7." + op + ".pthread_ns"},
+		})
+	}
+	return claims
+}
+
+// checkPaperClaims reports every paper claim the metrics break, or whose
+// metrics are missing. benchdiff's drift bands alone would let a cost-model
+// change invert a conclusion without failing anything.
+func checkPaperClaims(metrics map[string]float64) error {
+	var errs []error
+	for _, c := range paperClaims() {
+		for i := 1; i < len(c.chain); i++ {
+			lo, hi := c.chain[i-1], c.chain[i]
+			a, okA := metrics[lo]
+			b, okB := metrics[hi]
+			switch {
+			case !okA || !okB:
+				errs = append(errs, fmt.Errorf("paper claim %q: report lacks %s or %s", c.name, lo, hi))
+			case a > b || (a == b && !c.orEqual):
+				errs = append(errs, fmt.Errorf("paper claim %q fails: %s = %g is not below %s = %g",
+					c.name, lo, a, hi, b))
+			}
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // probeResult is one observer-probe run's measurement.

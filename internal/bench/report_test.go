@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -174,5 +177,33 @@ func TestFig5TickBoundSignature(t *testing.T) {
 		if len(fs) != 0 {
 			t.Fatalf("%s falsely flagged: %+v", scope, fs)
 		}
+	}
+}
+
+// TestPaperClaims checks that the committed report reproduces the paper's
+// orderings, that flipping any one of them on a copy is an error naming
+// that claim, and that a claim whose metric disappeared fails closed.
+func TestPaperClaims(t *testing.T) {
+	committed, err := ReadReport(filepath.Join("..", "..", "BENCH_skyloft.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkPaperClaims(committed.Metrics); err != nil {
+		t.Fatalf("committed report breaks a paper claim: %v", err)
+	}
+	for _, c := range paperClaims() {
+		t.Run(c.name, func(t *testing.T) {
+			m := copyReport(committed).Metrics
+			lo, hi := c.chain[0], c.chain[len(c.chain)-1]
+			m[lo], m[hi] = m[hi], m[lo]
+			if err := checkPaperClaims(m); err == nil || !strings.Contains(err.Error(), strconv.Quote(c.name)) {
+				t.Errorf("flipping %s and %s: error %v does not name the claim", lo, hi, err)
+			}
+		})
+	}
+	m := copyReport(committed).Metrics
+	delete(m, "table6.signal.delivery_cycles")
+	if err := checkPaperClaims(m); err == nil || !strings.Contains(err.Error(), "report lacks") {
+		t.Errorf("missing Table 6 metric: error %v, want a missing-metric error", err)
 	}
 }

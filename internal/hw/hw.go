@@ -50,7 +50,7 @@ func DefaultConfig() Config {
 
 // Machine is the simulated host.
 type Machine struct {
-	Clock simtime.EventCore
+	Clock *simtime.Clock
 	Cores []*Core
 	Cost  cycles.Model
 

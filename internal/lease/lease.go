@@ -128,7 +128,7 @@ type Lease struct {
 //
 //simlint:owner sim
 type Manager struct {
-	clock  simtime.EventCore
+	clock  *simtime.Clock
 	client Client
 	ring   *trace.Ring // optional: lease transitions into the trace
 
@@ -156,7 +156,7 @@ type Manager struct {
 
 // NewManager creates a manager scheduling deadline events on clock and
 // recording transitions into ring (nil: no trace).
-func NewManager(clock simtime.EventCore, client Client, ring *trace.Ring) *Manager {
+func NewManager(clock *simtime.Clock, client Client, ring *trace.Ring) *Manager {
 	return &Manager{
 		clock:       clock,
 		client:      client,

@@ -23,20 +23,19 @@ import (
 //	    though it mutates (tap registration is the sanctioned mutation);
 //	    the call still appears in the diagnostic stream as suppressed.
 //
-//	//simlint:readonly [note]
-//	    On an interface method of an owned interface: asserts the method
-//	    does not mutate sim state. Interface method bodies cannot be
-//	    analyzed, so owned interfaces default every method to mutating.
+// attachonly decides which methods of an owned type mutate by analyzing
+// their bodies, so ownership belongs on concrete types: an interface has no
+// bodies to analyze, and an owner annotation on one is rejected.
 //
-// Malformed annotations (an owner class other than "sim", a missing
-// attachpoint reason, a directive floating unattached to any declaration)
-// are hygiene findings of the pseudo-analyzer "simlint", reported on every
-// run alongside the //simlint:allow hygiene rules (see annotationHygiene).
+// Malformed annotations (an owner class other than "sim", an owned
+// interface, a missing attachpoint reason, a directive floating unattached
+// to any declaration) are hygiene findings of the pseudo-analyzer
+// "simlint", reported on every run alongside the //simlint:allow hygiene
+// rules (see annotationHygiene).
 
 const (
 	ownerPrefix  = "//simlint:owner"
 	attachPrefix = "//simlint:attachpoint"
-	roPrefix     = "//simlint:readonly"
 )
 
 // annots indexes one package's ownership annotations by types.Object, so
@@ -46,7 +45,6 @@ type annots struct {
 	ownerType  map[types.Object]bool          // owned TypeNames
 	ownerField map[types.Object]bool          // owned field Vars
 	attach     map[types.Object]string        // *types.Func -> attachpoint reason
-	readonly   map[types.Object]bool          // interface methods asserted read-only
 	decls      map[types.Object]*ast.FuncDecl // *types.Func -> its declaration
 	hygiene    []Diagnostic
 }
@@ -86,7 +84,7 @@ func parseAnn(text string) (prefix string, fields []string, ok bool) {
 	if i := strings.Index(text, "// want"); i > 0 {
 		text = strings.TrimSpace(text[:i])
 	}
-	for _, p := range []string{ownerPrefix, attachPrefix, roPrefix} {
+	for _, p := range []string{ownerPrefix, attachPrefix} {
 		rest, found := strings.CutPrefix(text, p)
 		if !found {
 			continue
@@ -108,7 +106,6 @@ func collectAnnots(pkg *Package) *annots {
 		ownerType:  map[types.Object]bool{},
 		ownerField: map[types.Object]bool{},
 		attach:     map[types.Object]string{},
-		readonly:   map[types.Object]bool{},
 		decls:      map[types.Object]*ast.FuncDecl{},
 	}
 	note := func(pos token.Pos, msg string) {
@@ -185,11 +182,14 @@ func collectAnnots(pkg *Package) *annots {
 					if len(d.Specs) == 1 {
 						docs = append(docs, d.Doc)
 					}
-					if _, ok := ownerOf(docs...); ok {
-						a.ownerType[tobj] = true
+					if pos, ok := ownerOf(docs...); ok {
+						if _, isIface := ts.Type.(*ast.InterfaceType); isIface {
+							note(pos, "simlint:owner on an interface is unsupported; annotate the concrete type")
+						} else {
+							a.ownerType[tobj] = true
+						}
 					}
-					switch t := ts.Type.(type) {
-					case *ast.StructType:
+					if t, ok := ts.Type.(*ast.StructType); ok {
 						for _, field := range t.Fields.List {
 							pos, ok := ownerOf(field.Doc, field.Comment)
 							if !ok {
@@ -203,22 +203,6 @@ func collectAnnots(pkg *Package) *annots {
 								if obj := pkg.Info.Defs[name]; obj != nil {
 									a.ownerField[obj] = true
 								}
-							}
-						}
-					case *ast.InterfaceType:
-						for _, m := range t.Methods.List {
-							if len(m.Names) == 0 {
-								continue // embedded interface
-							}
-							obj := pkg.Info.Defs[m.Names[0]]
-							if obj == nil {
-								continue
-							}
-							for _, g := range []*ast.CommentGroup{m.Doc, m.Comment} {
-								if _, _, ok := takeOne(g, roPrefix); ok {
-									a.readonly[obj] = true
-								}
-								attachOf(obj, g)
 							}
 						}
 					}
@@ -252,13 +236,6 @@ func (l *Loader) attachReasonOf(fn *types.Func) string {
 		return ""
 	}
 	return ann.attach[fn]
-}
-
-// readonlyIface reports whether fn is an interface method asserted
-// //simlint:readonly in its declaring package.
-func (l *Loader) readonlyIface(fn *types.Func) bool {
-	ann := l.annotsOfObj(fn)
-	return ann != nil && ann.readonly[fn]
 }
 
 // ownedAt reports whether the selection writes or reaches owned state: the

@@ -12,8 +12,7 @@ import (
 // method of an owner-annotated type. The sanctioned mutation surface is
 // exactly the methods declared //simlint:attachpoint — tap registration
 // and the like — which report as suppressed findings so the accounting
-// stays visible. Interface methods of owned interfaces have no body to
-// analyze, so they count as mutating unless asserted //simlint:readonly.
+// stays visible.
 var AttachOnly = &Analyzer{
 	Name: "attachonly",
 	Doc: "observer-grade package mutating sim state: an owner-field write, or a " +
@@ -78,14 +77,6 @@ func checkMethodUse(pass *Pass, l *Loader, sel *ast.SelectorExpr) {
 	if reason := l.attachReasonOf(fn); reason != "" {
 		pass.ReportSuppressedf(sel.Sel.Pos(), reason,
 			"observer uses attach point %s.%s", tn.Name(), fn.Name())
-		return
-	}
-	if types.IsInterface(tn.Type().Underlying()) {
-		if !l.readonlyIface(fn) {
-			pass.Reportf(sel.Sel.Pos(),
-				"observer calls %s.%s: method of an owned interface not asserted //simlint:readonly",
-				tn.Name(), fn.Name())
-		}
 		return
 	}
 	if l.mutates(fn) {

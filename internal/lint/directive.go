@@ -111,13 +111,13 @@ func parseDirective(text string, known map[string]bool) (directive, string, bool
 	}
 	switch word {
 	case "allow":
-	case "owner", "attachpoint", "readonly":
+	case "owner", "attachpoint":
 		return directive{}, "", false // ownership annotation (annot.go)
 	default:
 		// A misspelt word must not silently drop the protection it was
 		// meant to declare: //simlint:ownr on a type fails open.
 		return directive{}, `unknown directive "` + directivePrefix + word +
-			`"; simlint knows allow, owner, attachpoint and readonly`, true
+			`"; simlint knows allow, owner and attachpoint`, true
 	}
 	if len(fields) == 0 {
 		return directive{}, "simlint:allow directive names no analyzer", true

@@ -21,8 +21,7 @@
 //     expected — typed constants only.
 //
 // A seventh, type-aware analyzer (DESIGN.md §14) enforces observer purity
-// over //simlint:owner, //simlint:attachpoint and //simlint:readonly
-// annotations:
+// over //simlint:owner and //simlint:attachpoint annotations:
 //
 //   - attachonly: observer-grade packages (internal/obs/...) mutating sim
 //     state — observers read, and attach through declared attach points.
@@ -35,8 +34,8 @@
 // comment to cover the whole function. A directive with an unknown analyzer
 // name or no reason is itself a finding, and so is a directive that matched
 // nothing while its analyzer patrolled the package (the stale-allow audit),
-// a //simlint: comment whose word is not allow, owner, attachpoint or
-// readonly, and a malformed ownership annotation.
+// a //simlint: comment whose word is not allow, owner or attachpoint, and a
+// malformed ownership annotation.
 // cmd/simlint is the driver; the repo-wide meta-test (TestSimlintRepoClean)
 // keeps the tree at zero unsuppressed findings.
 package lint

@@ -124,7 +124,7 @@ func TestDurationLit(t *testing.T) {
 }
 
 // TestAttachOnly loads the observer fixture under an obs path: mutating
-// methods of the real owned types (trace.Ring, simtime.EventCore) and
+// methods of the real owned types (trace.Ring, simtime.Clock) and
 // owner-field writes are findings; attach points and read-only queries are
 // not.
 func TestAttachOnly(t *testing.T) {

@@ -28,5 +28,15 @@ func floating(t *typo) {
 	t.n++
 }
 
+// surface is an owned interface. attachonly reads mutation off method
+// bodies and an interface has none, so owning it is rejected rather than
+// read as "no method mutates"; a read-only assertion on its method is an
+// unknown word.
+//
+//simlint:owner sim // want `simlint:owner on an interface is unsupported; annotate the concrete type`
+type surface interface {
+	Now() int //simlint:readonly // want `unknown directive "//simlint:readonly"`
+}
+
 //simlint:allowed wallclock an old spelling // want `unknown directive "//simlint:allowed"`
 var _ = dispatch

@@ -1,8 +1,10 @@
 // Package attachonly exercises the attachonly analyzer against the real
 // sim-state types: an observer-grade package may read owned state and use
 // the declared attach points (tap registration, suppressed but accounted),
-// but calling a mutating method of an owned type, an unasserted method of
-// an owned interface, or writing any owner-annotated field is a finding.
+// but calling a mutating method of an owned type or writing any
+// owner-annotated field is a finding. Which methods mutate is read off
+// their bodies: Clock.Now and Clock.Pending only read, Clock.After and
+// Clock.Run schedule and dispatch.
 package attachonly
 
 import (
@@ -12,7 +14,7 @@ import (
 
 type probe struct {
 	ring  *trace.Ring
-	clock simtime.EventCore
+	clock *simtime.Clock
 	last  trace.Event
 	tapID int
 }
@@ -35,8 +37,8 @@ func (p *probe) detach() { p.ring.RemoveTap(p.tapID) }
 func (p *probe) perturb() {
 	p.ring.Record(trace.Event{}) // want `observer calls mutating method Ring\.Record of an owned type`
 	p.ring.Reset()               // want `observer calls mutating method Ring\.Reset of an owned type`
-	p.clock.After(1, func() {})  // want `observer calls EventCore\.After: method of an owned interface not asserted //simlint:readonly`
-	_ = p.clock.Run(100)         // want `observer calls EventCore\.Run: method of an owned interface not asserted //simlint:readonly`
+	p.clock.After(1, func() {})  // want `observer calls mutating method Clock\.After of an owned type`
+	_ = p.clock.Run(100)         // want `observer calls mutating method Clock\.Run of an owned type`
 }
 
 // stolen takes a mutating method value without calling it — the reference

@@ -30,12 +30,6 @@ type Request struct {
 	Flow    uint64
 }
 
-// Clock abstracts the simulation clock.
-type Clock interface {
-	Now() simtime.Time
-	At(at simtime.Time, fn func()) simtime.Event
-}
-
 // Gen produces an open-loop request stream.
 type Gen struct {
 	classes []Class
@@ -95,7 +89,7 @@ func (g *Gen) Stop() { g.stopped = true }
 
 // Run schedules arrivals on clock until limit requests have been generated
 // (0 = unlimited), invoking deliver for each.
-func (g *Gen) Run(clock Clock, limit uint64, deliver func(Request)) {
+func (g *Gen) Run(clock *simtime.Clock, limit uint64, deliver func(Request)) {
 	g.limit = limit
 	gap := simtime.Duration(float64(simtime.Second) / g.rate)
 	if gap < 1 {

@@ -26,12 +26,6 @@ type Waker interface {
 	ExternalWake(t *sched.Thread)
 }
 
-// Clock is the subset of the simtime event core the NIC needs.
-type Clock interface {
-	Now() simtime.Time
-	After(d simtime.Duration, fn func()) simtime.Event
-}
-
 // Observer watches the datapath for per-request causal tracing: arrival is
 // the instant the NIC accepts a packet (after sequence assignment and RSS
 // steering), delivery the instant the ring handler receives it. Observers
@@ -49,7 +43,7 @@ type Observer interface {
 // delegated to user space on the ring's core instead; the receiving core
 // drains the ring in its user-interrupt handler.
 type NIC struct {
-	clock Clock
+	clock *simtime.Clock
 	cost  cycles.Model
 	rings []func(Packet) // per-ring handler (installed by the app/runtime)
 	seq   uint64
@@ -76,7 +70,7 @@ type inflightPkt struct {
 }
 
 // NewNIC creates a NIC with n RSS rings.
-func NewNIC(clock Clock, cost cycles.Model, n int) *NIC {
+func NewNIC(clock *simtime.Clock, cost cycles.Model, n int) *NIC {
 	if n <= 0 {
 		panic("netsim: NIC needs at least one ring")
 	}

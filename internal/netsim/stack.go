@@ -17,7 +17,7 @@ import (
 // Wire is a full-duplex point-to-point link with propagation latency and
 // optional random loss (failure injection).
 type Wire struct {
-	clock    Clock
+	clock    *simtime.Clock
 	latency  simtime.Duration
 	lossRate float64
 	r        *rng.Rand
@@ -40,7 +40,7 @@ type wireFrame struct {
 }
 
 // NewWire creates a link with the given one-way latency.
-func NewWire(clock Clock, latency simtime.Duration) *Wire {
+func NewWire(clock *simtime.Clock, latency simtime.Duration) *Wire {
 	w := &Wire{clock: clock, latency: latency, r: rng.New(0xB17E)}
 	w.arriveFn = func() {
 		f := w.inflight[w.inflightHead]
@@ -91,7 +91,7 @@ type Stack struct {
 	IPAddr  IP
 	MACAddr MAC
 
-	clock Clock
+	clock *simtime.Clock
 	waker Waker // nil when used purely event-driven
 	wire  *Wire
 	side  int
@@ -114,7 +114,7 @@ type connKey struct {
 
 // NewStack creates a host endpoint. waker may be nil if no thread ever
 // blocks on this stack's sockets.
-func NewStack(clock Clock, waker Waker, ip IP, mac MAC) *Stack {
+func NewStack(clock *simtime.Clock, waker Waker, ip IP, mac MAC) *Stack {
 	return &Stack{
 		IPAddr: ip, MACAddr: mac,
 		clock: clock, waker: waker,

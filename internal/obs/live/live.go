@@ -67,7 +67,7 @@ type Config struct {
 // Source is what the bus observes. Clock, Ring and Registry are required;
 // Profiler, AppNames and Workers enrich snapshots and dumps when present.
 type Source struct {
-	Clock    simtime.EventCore
+	Clock    *simtime.Clock
 	Ring     *trace.Ring
 	Registry *obs.Registry
 	Profiler *obs.Profiler

@@ -35,7 +35,7 @@ type CoreSample struct {
 // callback must be read-only: the profiler adds clock events but never
 // changes engine state, so the scheduling event stream is unperturbed.
 type Profiler struct {
-	clock    simtime.EventCore
+	clock    *simtime.Clock
 	interval simtime.Duration
 	sample   func(core int) CoreSample
 
@@ -52,7 +52,7 @@ type Profiler struct {
 // NewProfiler builds a profiler over cores 0..cores-1, reading states from
 // sample. A non-positive interval defaults to 1µs (fine enough to resolve
 // the µs-scale quanta every engine in this repo schedules with).
-func NewProfiler(clock simtime.EventCore, cores int, interval simtime.Duration, sample func(core int) CoreSample) *Profiler {
+func NewProfiler(clock *simtime.Clock, cores int, interval simtime.Duration, sample func(core int) CoreSample) *Profiler {
 	if interval <= 0 {
 		interval = simtime.Microsecond
 	}

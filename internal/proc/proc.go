@@ -7,10 +7,7 @@
 // hosting scheduler engine services in virtual time.
 package proc
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // Request is an operation a simulated thread asks its engine to perform.
 // Engines define their own request types; proc treats them opaquely.
@@ -198,7 +195,3 @@ func (c *Ctx) Ask(r Request) any {
 
 // Name reports the thread's debug name.
 func (c *Ctx) Name() string { return c.p.name }
-
-// Gosched is a hook for tests: it yields the OS scheduler so leaked-
-// goroutine detection settles.
-func Gosched() { runtime.Gosched() }

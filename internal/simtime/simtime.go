@@ -96,29 +96,10 @@ const (
 	locOverflow int32 = -2
 )
 
-// EventCore is the event-queue surface the simulated machine runs on;
-// *Clock is its implementation.
-//
-// The interface is owned sim state (DESIGN.md §14): attachonly treats any
-// unmarked method as mutating, since an interface has no body to analyze.
-// The query methods are asserted read-only; everything that schedules,
-// cancels or dispatches is off-limits to observer-grade packages.
-//
-//simlint:owner sim
-type EventCore interface {
-	Now() Time //simlint:readonly
-	At(at Time, fn func()) Event
-	After(d Duration, fn func()) Event
-	Cancel(e Event) bool
-	Step() bool
-	Run(horizon Time) Time
-	RunUntil(horizon Time, pred func() bool) bool
-	SetObserver(fn func())
-	Dispatched() uint64 //simlint:readonly
-	Pending() int       //simlint:readonly
-	StoreSize() int     //simlint:readonly
-	StoreFree() int     //simlint:readonly
-}
+// EventCore is the name hostbench/workloads.go declares its clock with; it
+// exists only for hostbench and is deleted when a benchmark change next
+// edits hostbench/. Everything else names *Clock.
+type EventCore = *Clock
 
 // Clock owns virtual time and the pending-event store. It is owned sim
 // state (DESIGN.md §14): observer-grade packages may read it but never
