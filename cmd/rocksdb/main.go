@@ -43,14 +43,7 @@ func main() {
 
 	// Headline: max sustained load at the 50× slowdown SLO.
 	const slo = 50.0
-	best := map[string]float64{}
-	for _, row := range t.Rows {
-		for col, s := range row.Values {
-			if s > 0 && s <= slo && row.X > best[col] {
-				best[col] = row.X
-			}
-		}
-	}
+	best := t.MaxXWithin(slo)
 	sh := best["shenango"]
 	fmt.Printf("\n# max load with p99.9 slowdown <= %.0fx (krps, relative to shenango):\n", slo)
 	for _, col := range t.Columns {

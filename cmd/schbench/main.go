@@ -27,8 +27,6 @@ import (
 
 	"skyloft/internal/bench"
 	"skyloft/internal/obs"
-	"skyloft/internal/obs/doctor"
-	"skyloft/internal/obs/live"
 	"skyloft/internal/simtime"
 	"skyloft/internal/stats"
 )
@@ -80,74 +78,9 @@ func main() {
 	}
 
 	if of.Active() {
-		var sess *live.Session
-		run := bench.ObservedRunOpts(*seed, 20*simtime.Millisecond, bench.ObserveOpts{
-			Profile: of.Occupancy,
-			Causal:  true,
-			PreRun: func(h bench.RunHooks) {
-				var err error
-				sess, err = live.FromFlags(of, live.Config{}, live.Source{
-					Clock:    h.Clock,
-					Ring:     h.Ring,
-					Registry: h.Registry,
-					Profiler: h.Profiler,
-					AppNames: h.AppNames,
-					Workers:  h.Workers,
-					Causal:   h.Causal,
-				})
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-			},
-		})
-		if sess != nil {
-			if err := sess.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println(sess.Summary())
-		}
-		if err := run.Spans.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "SPAN VIOLATION: %v\n", err)
-			os.Exit(1)
-		}
-		if err := run.Spans.Report(os.Stdout, run.AppNames); err != nil {
+		if _, err := bench.EmitObserved(of, os.Stdout, *seed, 20*simtime.Millisecond); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
-		}
-		if err := run.Causal.Report(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := of.EmitTrace(run.Events, obs.ExportConfig{
-			NumCPUs: run.Workers, AppNames: run.AppNames, Instants: true,
-			Flows: run.Causal.FlowJourneys(),
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := of.EmitCausal(run.Causal); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := of.EmitMetrics(run.Registry); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := of.EmitOccupancy(os.Stdout, run.Profiler, run.AppNames); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if of.DoctorOut != "" {
-			diag := doctor.Analyze(run.Events, run.Spans, doctor.Config{
-				TickPeriod: simtime.Second / bench.SkyloftTimerHz,
-				Cores:      run.Workers,
-			})
-			if err := of.EmitDoctor(diag); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
 		}
 	}
 }

@@ -4,7 +4,7 @@
 // Fig. 8b (RocksDB server), plus the §5.4 microbenchmarks (Tables 6 and 7),
 // the inter-application switch cost, and Table 4 (policy LoC).
 //
-// A full run takes some minutes of wall-clock time; use -quick for a
+// A full run takes about a minute of wall-clock time; use -quick for a
 // reduced sweep.
 //
 // -report-out writes the machine-readable BENCH_skyloft.json summary (one
@@ -47,8 +47,6 @@ import (
 	"skyloft/internal/bench"
 	"skyloft/internal/lint"
 	"skyloft/internal/obs"
-	"skyloft/internal/obs/doctor"
-	"skyloft/internal/obs/live"
 	"skyloft/internal/simtime"
 )
 
@@ -314,62 +312,8 @@ func main() {
 	if *quick {
 		obsDur = 10 * simtime.Millisecond
 	}
-	var sess *live.Session
-	run := bench.ObservedRunOpts(*seed, obsDur, bench.ObserveOpts{
-		Profile: of.Occupancy,
-		Causal:  true,
-		PreRun: func(h bench.RunHooks) {
-			var err error
-			sess, err = live.FromFlags(of, live.Config{}, live.Source{
-				Clock:    h.Clock,
-				Ring:     h.Ring,
-				Registry: h.Registry,
-				Profiler: h.Profiler,
-				AppNames: h.AppNames,
-				Workers:  h.Workers,
-				Causal:   h.Causal,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		},
-	})
-	if sess != nil {
-		if err := sess.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(sess.Summary())
-	}
-	if err := run.Spans.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "SPAN VIOLATION: %v\n", err)
-		os.Exit(1)
-	}
-	if err := run.Spans.Report(os.Stdout, run.AppNames); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := run.Causal.Report(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := of.EmitTrace(run.Events, obs.ExportConfig{
-		NumCPUs: run.Workers, AppNames: run.AppNames, Instants: true,
-		Flows: run.Causal.FlowJourneys(),
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := of.EmitCausal(run.Causal); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := of.EmitMetrics(run.Registry); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := of.EmitOccupancy(os.Stdout, run.Profiler, run.AppNames); err != nil {
+	run, err := bench.EmitObserved(of, os.Stdout, *seed, obsDur)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -382,16 +326,6 @@ func main() {
 	fmt.Printf("delivery: uintr delivered=%d dropped=%d rescans=%d, irqs coalesced=%d\n",
 		substrate["uintr.delivered"], substrate["uintr.dropped"],
 		substrate["uintr.rescans"], substrate["hw.irqs.coalesced"])
-	if of.DoctorOut != "" {
-		diag := doctor.Analyze(run.Events, run.Spans, doctor.Config{
-			TickPeriod: simtime.Second / bench.SkyloftTimerHz,
-			Cores:      run.Workers,
-		})
-		if err := of.EmitDoctor(diag); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 	fmt.Println()
 
 	section("Fig 5: schbench wakeup latency")

@@ -56,7 +56,7 @@ func main() {
 	if *fig == "7a" || *fig == "all" {
 		t := bench.Fig7a(loads, q, d, *seed)
 		emit(t)
-		printSLOSummary(t, loads)
+		printSLOSummary(t)
 	}
 	if *fig == "7b" || *fig == "7c" || *fig == "all" {
 		lat, share := bench.Fig7bc(loads, q, d, *seed)
@@ -81,16 +81,9 @@ func main() {
 
 // printSLOSummary derives the paper's headline comparison: maximum
 // throughput with p99 under a 200 µs SLO, relative to Skyloft.
-func printSLOSummary(t *stats.Table, loads []float64) {
+func printSLOSummary(t *stats.Table) {
 	const slo = 200.0 // µs
-	best := map[string]float64{}
-	for _, row := range t.Rows {
-		for col, p99 := range row.Values {
-			if p99 <= slo && row.X > best[col] {
-				best[col] = row.X
-			}
-		}
-	}
+	best := t.MaxXWithin(slo)
 	sky := best["skyloft"]
 	fmt.Printf("# max throughput with p99 <= %.0fus (krps, relative to skyloft):\n", slo)
 	for _, col := range t.Columns {

@@ -16,9 +16,6 @@ import (
 // workload server (USR mix: 99.8% GET / 0.2% SET).
 type Memcache struct {
 	shards []map[string]string
-	hits   uint64
-	misses uint64
-	sets   uint64
 }
 
 // NewMemcache creates a store with the given shard count.
@@ -40,28 +37,12 @@ func (m *Memcache) shard(key string) map[string]string {
 // Get looks a key up.
 func (m *Memcache) Get(key string) (string, bool) {
 	v, ok := m.shard(key)[key]
-	if ok {
-		m.hits++
-	} else {
-		m.misses++
-	}
 	return v, ok
 }
 
 // Set stores a value.
 func (m *Memcache) Set(key, value string) {
-	m.sets++
 	m.shard(key)[key] = value
-}
-
-// Delete removes a key, reporting whether it existed.
-func (m *Memcache) Delete(key string) bool {
-	s := m.shard(key)
-	if _, ok := s[key]; !ok {
-		return false
-	}
-	delete(s, key)
-	return true
 }
 
 // Len reports the number of stored keys.
@@ -72,9 +53,6 @@ func (m *Memcache) Len() int {
 	}
 	return n
 }
-
-// Stats reports hits, misses and sets.
-func (m *Memcache) Stats() (hits, misses, sets uint64) { return m.hits, m.misses, m.sets }
 
 // Preload fills the store with n sequential keys ("key-%d").
 func (m *Memcache) Preload(n int) {

@@ -68,28 +68,3 @@ type LoadPoint struct {
 	BEShare    float64 // best-effort CPU share, if applicable
 	Done       uint64
 }
-
-// MaxThroughputUnderSLO scans points (ascending offered load) and returns
-// the highest measured throughput whose p99 is within slo µs — the paper's
-// "maximum throughput" metric.
-func MaxThroughputUnderSLO(points []LoadPoint, sloP99Micros float64) float64 {
-	best := 0.0
-	for _, p := range points {
-		if p.P99 <= sloP99Micros && p.Throughput > best {
-			best = p.Throughput
-		}
-	}
-	return best
-}
-
-// MaxLoadUnderSlowdownSLO returns the highest measured throughput whose
-// p99.9 slowdown is within the target (Fig. 8b's metric, target 50×).
-func MaxLoadUnderSlowdownSLO(points []LoadPoint, slo float64) float64 {
-	best := 0.0
-	for _, p := range points {
-		if p.P999Slow > 0 && p.P999Slow <= slo && p.Throughput > best {
-			best = p.Throughput
-		}
-	}
-	return best
-}

@@ -1,10 +1,15 @@
 package bench
 
 import (
+	"fmt"
+	"io"
+
 	"skyloft/internal/core"
 	"skyloft/internal/cycles"
 	"skyloft/internal/obs"
 	"skyloft/internal/obs/causal"
+	"skyloft/internal/obs/doctor"
+	"skyloft/internal/obs/live"
 	"skyloft/internal/policy/rr"
 	"skyloft/internal/sched"
 	"skyloft/internal/simtime"
@@ -140,4 +145,73 @@ func ObservedRunOpts(seed uint64, dur simtime.Duration, opts ObserveOpts) *Obser
 		Causal:   ctr,
 		Workers:  e.Workers(),
 	}
+}
+
+// EmitObserved is the cmds' observability section: it runs the observed
+// companion workload for dur with the causal tracer (and, under
+// -occupancy, the profiler) attached, streaming it over the live bus when a
+// live flag asks. It then validates the spans, prints the live summary and
+// the span, causal and occupancy reports to w, and writes the trace,
+// causal, metrics and doctor documents the flags name.
+func EmitObserved(of *obs.Flags, w io.Writer, seed uint64, dur simtime.Duration) (*Observed, error) {
+	var sess *live.Session
+	var lerr error
+	run := ObservedRunOpts(seed, dur, ObserveOpts{
+		Profile: of.Occupancy,
+		Causal:  true,
+		PreRun: func(h RunHooks) {
+			sess, lerr = live.FromFlags(of, live.Config{}, live.Source{
+				Clock:    h.Clock,
+				Ring:     h.Ring,
+				Registry: h.Registry,
+				Profiler: h.Profiler,
+				AppNames: h.AppNames,
+				Workers:  h.Workers,
+				Causal:   h.Causal,
+			})
+		},
+	})
+	if lerr != nil {
+		return nil, lerr
+	}
+	if sess != nil {
+		if err := sess.Close(); err != nil {
+			return nil, err
+		}
+		fmt.Fprintln(w, sess.Summary())
+	}
+	if err := run.Spans.Validate(); err != nil {
+		return nil, fmt.Errorf("SPAN VIOLATION: %w", err)
+	}
+	if err := run.Spans.Report(w, run.AppNames); err != nil {
+		return nil, err
+	}
+	if err := run.Causal.Report(w); err != nil {
+		return nil, err
+	}
+	if err := of.EmitTrace(run.Events, obs.ExportConfig{
+		NumCPUs: run.Workers, AppNames: run.AppNames, Instants: true,
+		Flows: run.Causal.FlowJourneys(),
+	}); err != nil {
+		return nil, err
+	}
+	if err := of.EmitCausal(run.Causal); err != nil {
+		return nil, err
+	}
+	if err := of.EmitMetrics(run.Registry); err != nil {
+		return nil, err
+	}
+	if err := of.EmitOccupancy(w, run.Profiler, run.AppNames); err != nil {
+		return nil, err
+	}
+	if of.DoctorOut != "" {
+		diag := doctor.Analyze(run.Events, run.Spans, doctor.Config{
+			TickPeriod: simtime.Second / SkyloftTimerHz,
+			Cores:      run.Workers,
+		})
+		if err := of.EmitDoctor(diag); err != nil {
+			return nil, err
+		}
+	}
+	return run, nil
 }

@@ -103,7 +103,8 @@ type Model struct {
 	GhostMessage simtime.Duration
 
 	// Network datapath costs (per packet, §3.5): NIC ring poll, RSS-steered
-	// ring hop, and the lite UDP/TCP stack parse/build.
+	// ring hop, and the protocol-stack parse/build (a modelled cost; no
+	// frames are built).
 	NICPoll  simtime.Duration
 	RingHop  simtime.Duration
 	NetStack simtime.Duration

@@ -244,3 +244,132 @@ func (deadClient) ForceEvict(core int)             {}
 func formatf(format string, args ...any) string {
 	return strings.TrimSpace(fmt.Sprintf(format, args...))
 }
+
+// fuzzCores is how many cores FuzzLeaseManager drives.
+const fuzzCores = 4
+
+// Fuzz operation kinds: an op byte's low two bits pick the core, the rest
+// (mod fuzzKinds) the kind.
+const (
+	fuzzGrant = iota
+	fuzzReclaim
+	fuzzReturn
+	fuzzDeaf
+	fuzzYield
+	fuzzEvictDelay
+	fuzzAdvance
+	fuzzKinds
+)
+
+// fuzzClient scripts one borrower per core: deaf borrowers ignore every
+// notification, the rest yield after their delay. ForceEvict lands after
+// the shared eviction delay, which stays inside EvictSlack as the Client
+// contract requires.
+type fuzzClient struct {
+	clock      *simtime.Clock
+	ret        func(core int)
+	deaf       [fuzzCores]bool
+	yield      [fuzzCores]simtime.Duration
+	evictDelay simtime.Duration
+}
+
+func (f *fuzzClient) ReclaimNotify(core, attempt int) {
+	if !f.deaf[core] {
+		f.clock.After(f.yield[core], func() { f.ret(core) })
+	}
+}
+
+func (f *fuzzClient) ForceEvict(core int) {
+	f.clock.After(f.evictDelay, func() { f.ret(core) })
+}
+
+// FuzzLeaseManager drives the lease state machine with (op, arg) byte
+// pairs — grants, reclaims, voluntary returns, borrower behavior changes,
+// eviction delays and clock advances on four cores — against a shadow model
+// of which cores are lent and which have a reclaim pending. After every
+// step the auditor must stay silent and the manager's state must match the
+// model; Grant must fail exactly on a lent core. After a drain of
+// ReclaimBound plus the longest yield delay, no reclaim may be left in
+// flight and none may have missed the bound.
+func FuzzLeaseManager(f *testing.F) {
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 512 {
+			prog = prog[:512]
+		}
+		clock := simtime.NewClock()
+		fc := &fuzzClient{clock: clock}
+		mgr := NewManager(clock, fc, nil)
+		var lent, reclaiming [fuzzCores]bool
+		fc.ret = func(core int) {
+			lent[core], reclaiming[core] = false, false
+			mgr.Returned(core)
+		}
+		advance := func(d simtime.Duration) {
+			clock.After(d, func() {})
+			clock.Run(clock.Now() + simtime.Time(d))
+		}
+		check := func(step int) {
+			t.Helper()
+			mgr.AuditLeases(func(format string, args ...any) {
+				t.Fatalf("step %d: audit: %s", step, formatf(format, args...))
+			})
+			for core := 0; core < fuzzCores; core++ {
+				want := Idle
+				if reclaiming[core] {
+					want = Reclaiming
+				} else if lent[core] {
+					want = Granted
+				}
+				got := mgr.StateOf(core)
+				if got == Revoking {
+					got = Reclaiming
+				}
+				if got != want {
+					t.Fatalf("step %d: core %d state %v, model %v", step, core, mgr.StateOf(core), want)
+				}
+			}
+		}
+		var maxYield simtime.Duration
+		for i := 0; i+1 < len(prog); i += 2 {
+			op, arg := prog[i], prog[i+1]
+			core := int(op & (fuzzCores - 1))
+			switch (op >> 2) % fuzzKinds {
+			case fuzzGrant:
+				err := mgr.Grant(core, 0, 1+int(arg)%3)
+				if (err != nil) != lent[core] {
+					t.Fatalf("step %d: Grant(core %d) err=%v with lent=%v", i/2, core, err, lent[core])
+				}
+				lent[core] = true
+			case fuzzReclaim:
+				want := lent[core] && !reclaiming[core]
+				if got := mgr.RequestReclaim(core); got != want {
+					t.Fatalf("step %d: RequestReclaim(core %d) = %v, want %v", i/2, core, got, want)
+				}
+				reclaiming[core] = reclaiming[core] || want
+			case fuzzReturn:
+				fc.ret(core)
+			case fuzzDeaf:
+				fc.deaf[core] = true
+			case fuzzYield:
+				fc.deaf[core] = false
+				fc.yield[core] = simtime.Duration(arg) * simtime.Microsecond
+				maxYield = max(maxYield, fc.yield[core])
+			case fuzzEvictDelay:
+				fc.evictDelay = EvictSlack * simtime.Duration(arg) / 255
+			case fuzzAdvance:
+				advance(simtime.Duration(arg) * simtime.Microsecond)
+			}
+			check(i / 2)
+		}
+		advance(ReclaimBound + maxYield)
+		check(len(prog) / 2)
+		for core := 0; core < fuzzCores; core++ {
+			if s := mgr.StateOf(core); s == Reclaiming || s == Revoking {
+				t.Fatalf("core %d still %v after the drain", core, s)
+			}
+		}
+		if n := mgr.DeadlineMisses(); n != 0 {
+			t.Fatalf("%d reclaims missed the %v bound", n, ReclaimBound)
+		}
+	})
+}

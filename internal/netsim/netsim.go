@@ -1,8 +1,9 @@
 // Package netsim models the kernel-bypass network datapath of §3.5: a
 // DPDK-style NIC polled on a dedicated core, RSS steering into per-core
-// ingress rings, and a lite UDP stack — enough to reproduce the paper's
-// networking experiments, whose behaviour depends on the arrival process,
-// per-packet datapath costs and steering, not on wire-level detail.
+// ingress rings, and blocking rings for worker-pool servers. A Packet is one
+// request, not a frame: the paper's networking experiments depend on the
+// arrival process, per-packet datapath costs and steering, not on
+// wire-level detail, so the protocol stack is a modelled cost only.
 package netsim
 
 import (

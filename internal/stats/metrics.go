@@ -101,6 +101,22 @@ func (t *Table) Add(x float64, values map[string]float64) {
 	t.Rows = append(t.Rows, Row{X: x, Values: values})
 }
 
+// MaxXWithin reports, for each column, the largest X whose value lies in
+// (0, limit] — the paper's "max load within an SLO" headline. A zero value
+// means the point had no samples, so it never qualifies; a column with no
+// qualifying row reports 0.
+func (t *Table) MaxXWithin(limit float64) map[string]float64 {
+	best := make(map[string]float64, len(t.Columns))
+	for _, r := range t.Rows {
+		for _, c := range t.Columns {
+			if v, ok := r.Values[c]; ok && v > 0 && v <= limit && r.X > best[c] {
+				best[c] = r.X
+			}
+		}
+	}
+	return best
+}
+
 // Render returns the table in an aligned text format with one row per x.
 func (t *Table) Render() string {
 	out := fmt.Sprintf("# %s\n%-14s", t.Title, t.XLabel)

@@ -343,6 +343,31 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
+func TestTableMaxXWithin(t *testing.T) {
+	tbl := NewTable("SLO", "load", "a", "b")
+	tbl.Add(300, map[string]float64{"a": 500, "b": 0})
+	tbl.Add(100, map[string]float64{"a": 10, "b": 45})
+	tbl.Add(200, map[string]float64{"a": 50, "b": 80})
+	for _, tc := range []struct {
+		limit float64
+		want  map[string]float64
+	}{
+		// b's zero at 300 is "no samples", not a tail inside the SLO.
+		{limit: 100, want: map[string]float64{"a": 200, "b": 200}},
+		{limit: 50, want: map[string]float64{"a": 200, "b": 100}},
+		{limit: 45, want: map[string]float64{"a": 100, "b": 100}},
+		{limit: 5, want: map[string]float64{"a": 0, "b": 0}},
+		{limit: 1000, want: map[string]float64{"a": 300, "b": 200}},
+	} {
+		got := tbl.MaxXWithin(tc.limit)
+		for _, c := range tbl.Columns {
+			if got[c] != tc.want[c] {
+				t.Errorf("limit %v: MaxXWithin[%s] = %v, want %v", tc.limit, c, got[c], tc.want[c])
+			}
+		}
+	}
+}
+
 func indexOf(s, sub string) int {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		if s[i:i+len(sub)] == sub {
